@@ -1,65 +1,45 @@
 #!/usr/bin/env python3
-"""Annual energy production versus separation distance: partial power
-matrices for the seven studied spacings plus the doubled single-flap
-baseline, weighted by the sample sea-state occurrence table.
+"""Annual energy production versus separation distance: runs ``oswec aep``
+on configs/reference.json (partial power matrices for the seven studied
+spacings plus the doubled single-flap baseline, weighted by a sea-state
+occurrence table) and prints the spread of the dual totals.
 """
 
 import argparse
+import json
 import pathlib
 import sys
 
-import numpy as np
-
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from oswec import (  # noqa: E402
-    Design,
-    annual_energy,
-    compute_power_matrix,
-    load_jpd,
-    reference_model,
-)
-from oswec.energy import write_power_matrix_csv  # noqa: E402
+from oswec.cli import main as oswec_main  # noqa: E402
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
-DISTANCES = (10.0, 15.0, 33.0, 45.0, 55.0, 70.0, 86.0)
 
 
-def main():
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--workers", type=int, default=2)
     parser.add_argument("--jpd", default=str(REPO / "data" / "sample_jpd.csv"))
     args = parser.parse_args()
 
-    model = reference_model()
-    jpd = load_jpd(args.jpd)
-    out = pathlib.Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
-    single_pm = compute_power_matrix(
-        Design(model, 0.0, dual=False), jpd.hs_bins, jpd.te_bins, jpd.occurrence, args.workers
+    code = oswec_main(
+        [
+            str(REPO / "configs" / "reference.json"),
+            "--out", args.out,
+            "--workers", str(args.workers),
+            "aep", "--jpd", args.jpd,
+        ]
     )
-    single = annual_energy(single_pm, jpd).total_gwh
-    write_power_matrix_csv(single_pm, jpd, out / "power_matrix_single.csv")
-
-    print(f"{'configuration':16s} {'AEP [GWh]':>10s}")
-    print(f"{'single (doubled)':16s} {2 * single:10.3f}")
-    totals = []
-    for d in DISTANCES:
-        pm = compute_power_matrix(
-            Design(model, d, dual=True), jpd.hs_bins, jpd.te_bins, jpd.occurrence, args.workers
-        )
-        write_power_matrix_csv(pm, jpd, out / f"power_matrix_d{d:g}.csv")
-        total = annual_energy(pm, jpd).total_gwh
-        totals.append(total)
-        print(f"{f'dual d={d:g} m':16s} {total:10.3f}")
-
-    totals = np.array(totals)
-    spread = (totals.max() - totals.min()) / totals.mean()
+    if code != 0:
+        return code
+    rows = json.loads((pathlib.Path(args.out) / "aep_table.json").read_text())["rows"]
+    totals = [row["annual_energy_GWh"] for row in rows if row["distance_m"] != ""]
+    spread = (max(totals) - min(totals)) / (sum(totals) / len(totals))
     print(f"\nspread across distances: {spread:.2%} of the mean")
-    print(f"power matrices -> {out}/power_matrix_*.csv")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

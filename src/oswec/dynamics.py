@@ -160,9 +160,9 @@ class IntegrationConfig:
         for name in ("steps_per_period", "ramp_periods", "measure_periods", "max_periods"):
             if getattr(self, name) < 1:
                 raise InvalidInputError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if not self.convergence_tol > 0.0:
+        if not 0.0 < self.convergence_tol < math.inf:
             raise InvalidInputError(
-                f"convergence_tol must be positive, got {self.convergence_tol}"
+                f"convergence_tol must be positive and finite, got {self.convergence_tol}"
             )
         if self.max_periods < self.ramp_periods + self.measure_periods:
             raise InvalidInputError("max_periods must cover ramp plus measure periods")

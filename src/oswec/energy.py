@@ -9,6 +9,8 @@ sea states and the hours in a year gives annual energy production.
 from __future__ import annotations
 
 import csv
+import functools
+import math
 import multiprocessing
 from dataclasses import dataclass, replace
 
@@ -53,8 +55,8 @@ class PTOModel:
     included_in_damping: bool = True
 
     def __post_init__(self):
-        if self.damping < 0.0:
-            raise InvalidInputError(f"PTO damping must be >= 0, got {self.damping}")
+        if not (math.isfinite(self.damping) and self.damping >= 0.0):
+            raise InvalidInputError(f"PTO damping must be finite and >= 0, got {self.damping}")
 
 
 def effective_coefficients(coeffs: HydroCoefficients, pto: PTOModel) -> HydroCoefficients:
@@ -196,12 +198,16 @@ class JPD:
         occ = np.atleast_2d(np.asarray(self.occurrence, dtype=float))
         if hs.size == 0 or te.size == 0:
             raise InvalidInputError("JPD must have at least one bin on each axis")
+        if not (np.isfinite(hs).all() and np.isfinite(te).all()):
+            raise InvalidInputError("JPD bin centers must be finite")
         if np.any(np.diff(hs) <= 0.0) or np.any(np.diff(te) <= 0.0):
             raise InvalidInputError("JPD bin centers must be strictly increasing")
         if occ.shape != (hs.size, te.size):
             raise InvalidInputError(
                 f"JPD occurrence shape {occ.shape} does not match bins ({hs.size}, {te.size})"
             )
+        if not np.isfinite(occ).all():
+            raise InvalidInputError("JPD occurrence fractions must be finite")
         if np.any(occ < 0.0):
             raise InvalidInputError("JPD occurrence fractions must be >= 0")
         total = float(occ.sum())
@@ -253,6 +259,10 @@ def load_jpd(path) -> JPD:
                 value = float(cell)
             except ValueError as exc:
                 raise InvalidInputError(f"{path}:{lineno}: column {col}: {exc}") from None
+            if not math.isfinite(value):
+                raise InvalidInputError(
+                    f"{path}:{lineno}: column {col}: occurrence {value} is not finite"
+                )
             if value < 0.0:
                 raise InvalidInputError(
                     f"{path}:{lineno}: column {col}: occurrence {value} is negative"
@@ -287,20 +297,35 @@ class PowerMatrix:
     power_total: np.ndarray  # (nH, nT) W
     steady: np.ndarray  # (nH, nT) bool
     computed: np.ndarray  # (nH, nT) bool, False for skipped cells
-    errors: tuple[str, ...]  # "i,j: message" for quarantined failures
+    errors: tuple[str, ...]  # "cell hs=.. te=..: message" per quarantined cell
     config: dict
 
 
-def _wave_cell(args) -> tuple[int, int, np.ndarray, bool, str | None]:
-    """Worker for one power-matrix cell; exceptions are quarantined per cell."""
-    design, i, j, hs, te = args
-    wave = WaveCondition(hs, te, design.heading_deg)
+def _quarantined(fn, *args):
     try:
-        result = run_wave_case(design.model, wave, design.distance, design.dual)
-    except Exception as exc:  # noqa: BLE001 - cell failures must not kill the sweep
-        n = 2 if design.dual else 1
-        return i, j, np.zeros(n), False, f"{type(exc).__name__}: {exc}"
-    return i, j, result.power, result.metrics.steady, None
+        return fn(*args)
+    except Exception as exc:  # noqa: BLE001 - one failed case must not kill the grid
+        return f"{type(exc).__name__}: {exc}"
+
+
+def evaluate(fn, tasks, workers: int = 1) -> list:
+    """``fn(*task)`` for each task, in task order, over ``workers`` processes.
+
+    A task that raises is quarantined: its slot holds
+    ``"<ExceptionType>: <message>"`` and the other tasks still run. Tasks
+    are independent, so the results do not depend on the worker count.
+    """
+    tasks = list(tasks)
+    if workers > 1 and len(tasks) > 1:
+        with multiprocessing.Pool(workers) as pool:
+            return pool.starmap(functools.partial(_quarantined, fn), tasks)
+    return [_quarantined(fn, *task) for task in tasks]
+
+
+def _cell_power(model: Model, wave: WaveCondition, distance: float, dual: bool):
+    """Power per flap and steady flag of one power-matrix cell."""
+    result = run_wave_case(model, wave, distance, dual)
+    return result.power, result.metrics.steady
 
 
 def compute_power_matrix(
@@ -332,24 +357,18 @@ def compute_power_matrix(
     computed = np.zeros(shape, dtype=bool)
     failures: list[str] = []
 
-    tasks = [
-        (design, i, j, float(hs_bins[i]), float(te_bins[j]))
+    cells = [
+        (i, j, WaveCondition(float(hs_bins[i]), float(te_bins[j]), design.heading_deg))
         for i in range(hs_bins.size)
         for j in range(te_bins.size)
         if occurrence is None or occurrence[i, j] > 0.0
     ]
-    if workers > 1 and len(tasks) > 1:
-        with multiprocessing.Pool(workers) as pool:
-            results = pool.map(_wave_cell, tasks)
-    else:
-        results = [_wave_cell(t) for t in tasks]
-
-    for i, j, power, is_steady, error in results:
-        if error is not None:
-            failures.append(f"cell hs={hs_bins[i]:g} te={te_bins[j]:g}: {error}")
+    tasks = [(design.model, wave, design.distance, design.dual) for _, _, wave in cells]
+    for (i, j, _), outcome in zip(cells, evaluate(_cell_power, tasks, workers)):
+        if isinstance(outcome, str):
+            failures.append(f"cell hs={hs_bins[i]:g} te={te_bins[j]:g}: {outcome}")
             continue
-        per_flap[i, j] = power
-        steady[i, j] = is_steady
+        per_flap[i, j], steady[i, j] = outcome
         computed[i, j] = True
     return PowerMatrix(
         hs_bins=hs_bins,

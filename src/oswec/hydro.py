@@ -82,6 +82,9 @@ class HydroCoefficients:
     coupling_damping: float = 0.0  # N m s/rad
 
     def __post_init__(self):
+        for name in ("added_inertia", "damping", "coupling_inertia", "coupling_damping"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidInputError(f"{name} must be finite, got {getattr(self, name)}")
         if self.added_inertia < 0.0:
             raise InvalidInputError(f"added inertia must be >= 0, got {self.added_inertia}")
         if not self.damping > 0.0:
@@ -187,6 +190,8 @@ class CoefficientTable:
                 raise InvalidInputError(
                     f"coefficient table field {name} has shape {arr.shape}, expected {shape}"
                 )
+            if not np.isfinite(arr).all():
+                raise InvalidInputError(f"coefficient table field {name} must be finite")
             object.__setattr__(self, name, arr)
         if np.any(self.added_inertia < 0.0):
             raise InvalidInputError("coefficient table added inertia must be >= 0")
@@ -326,6 +331,8 @@ class AnalyticCoefficientSource:
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
             raise InvalidInputError(f"coupling gain alpha must be in [0, 1], got {self.alpha}")
+        if not (math.isfinite(self.eps) and self.eps >= 0.0):
+            raise InvalidInputError(f"kernel floor eps must be finite and >= 0, got {self.eps}")
 
     def single(self, period: float, env: Environment) -> HydroCoefficients:
         return self.base.without_coupling()

@@ -10,12 +10,11 @@ from __future__ import annotations
 import csv
 import json
 import math
-import multiprocessing
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .energy import CaseResult, Model, run_torque_case, run_wave_case
+from .energy import CaseResult, Model, evaluate, run_torque_case, run_wave_case
 from .errors import InvalidInputError
 from .forcing import Scenario, TorqueScenario, WaveCondition
 from .hydro import solve_dispersion
@@ -130,17 +129,27 @@ def classify_band(d_over_lambda: float) -> str:
     return "outside"
 
 
-def _metrics_fields(prefix: str, result: CaseResult, index: int) -> dict:
-    return {
-        f"{prefix}_rms_rad": float(result.metrics.rms_rotation[index]),
-        f"{prefix}_amplitude_rad": float(result.metrics.amplitude[index]),
-        f"{prefix}_phase_rad": float(result.metrics.phase[index]),
-        f"{prefix}_power_W": float(result.power[index]),
-    }
-
-
 def _ratio(value: float, reference: float) -> float:
     return value / reference if reference != 0.0 else math.nan
+
+
+def _pair_fields(names: tuple[str, str], result: CaseResult, base: CaseResult | None) -> dict:
+    """Both flaps' metrics; with a single-flap ``base``, also the baseline
+    and each flap's RMS ratio to it."""
+    fields = {}
+    for index, name in enumerate(names):
+        fields[f"{name}_rms_rad"] = float(result.metrics.rms_rotation[index])
+        fields[f"{name}_amplitude_rad"] = float(result.metrics.amplitude[index])
+        fields[f"{name}_phase_rad"] = float(result.metrics.phase[index])
+        fields[f"{name}_power_W"] = float(result.power[index])
+    if base is not None:
+        single_rms = float(base.metrics.rms_rotation[0])
+        fields["single_rms_rad"] = single_rms
+        fields["single_amplitude_rad"] = float(base.metrics.amplitude[0])
+        fields["single_power_W"] = float(base.power[0])
+        for name in names:
+            fields[f"{name}_rms_ratio"] = _ratio(fields[f"{name}_rms_rad"], single_rms)
+    return fields
 
 
 TORQUE_COLUMNS = (
@@ -167,15 +176,6 @@ TORQUE_COLUMNS = (
 )
 
 
-def _torque_point(args):
-    model, variant, distance, period, amplitude = args
-    try:
-        result = run_torque_case(model, TorqueScenario(variant, amplitude, period, distance))
-    except Exception as exc:  # noqa: BLE001 - per-point quarantine
-        return None, f"{type(exc).__name__}: {exc}"
-    return result, None
-
-
 def run_torque_study(plan: SweepPlan, model: Model, workers: int = 1) -> SweepReport:
     """Grid of torque scenarios compared against the single-flap baseline.
 
@@ -190,42 +190,30 @@ def run_torque_study(plan: SweepPlan, model: Model, workers: int = 1) -> SweepRe
         for amplitude in plan.torque_amplitudes
     }
     grid = [
-        (model, variant, d, period, amplitude)
+        TorqueScenario(variant, amplitude, period, d)
         for variant in plan.scenarios
         for d in plan.distances
         for period in plan.torque_periods
         for amplitude in plan.torque_amplitudes
     ]
-    outcomes = _map_points(_torque_point, grid, workers)
+    outcomes = evaluate(run_torque_case, [(model, scenario) for scenario in grid], workers)
 
     report = SweepReport("torque", TORQUE_COLUMNS)
-    for (variant, d, period, amplitude), (result, error) in zip(
-        ((g[1], g[2], g[3], g[4]) for g in grid), outcomes
-    ):
-        lam = 2.0 * math.pi / solve_dispersion(period, model.environment)
+    for scenario, outcome in zip(grid, outcomes):
+        lam = 2.0 * math.pi / solve_dispersion(scenario.period, model.environment)
+        failed = isinstance(outcome, str)
         row: dict = {
-            "scenario": variant.value,
-            "distance_m": float(d),
-            "period_s": float(period),
-            "torque_Nm": float(amplitude),
-            "d_over_lambda": d / lam,
-            "error": error or "",
+            "scenario": scenario.variant.value,
+            "distance_m": float(scenario.distance),
+            "period_s": float(scenario.period),
+            "torque_Nm": float(scenario.amplitude),
+            "d_over_lambda": scenario.distance / lam,
+            "error": outcome if failed else "",
         }
-        if result is not None:
-            base = baselines[(period, amplitude)]
-            single_rms = float(base.metrics.rms_rotation[0])
-            row.update(_metrics_fields("left", result, 0))
-            row.update(_metrics_fields("right", result, 1))
-            row.update(
-                {
-                    "single_rms_rad": single_rms,
-                    "single_amplitude_rad": float(base.metrics.amplitude[0]),
-                    "single_power_W": float(base.power[0]),
-                    "left_rms_ratio": _ratio(row["left_rms_rad"], single_rms),
-                    "right_rms_ratio": _ratio(row["right_rms_rad"], single_rms),
-                    "steady": result.metrics.steady and base.metrics.steady,
-                }
-            )
+        if not failed:
+            base = baselines[(scenario.period, scenario.amplitude)]
+            row.update(_pair_fields(("left", "right"), outcome, base))
+            row["steady"] = outcome.metrics.steady and base.metrics.steady
         report.rows.append(row)
     return report
 
@@ -255,15 +243,6 @@ WAVE_COLUMNS = (
 )
 
 
-def _wave_point(args):
-    model, distance, period, height, heading = args
-    try:
-        result = run_wave_case(model, WaveCondition(height, period, heading), distance, dual=True)
-    except Exception as exc:  # noqa: BLE001 - per-point quarantine
-        return None, f"{type(exc).__name__}: {exc}"
-    return result, None
-
-
 def run_wave_study(plan: SweepPlan, model: Model, workers: int = 1) -> SweepReport:
     """Wave-forced dual runs over (distance, period, height) with baselines."""
     baselines = {
@@ -274,43 +253,31 @@ def run_wave_study(plan: SweepPlan, model: Model, workers: int = 1) -> SweepRepo
         for height in plan.wave_heights
     }
     grid = [
-        (model, d, period, height, 0.0)
+        (d, WaveCondition(height, period))
         for d in plan.distances
         for period in plan.wave_periods
         for height in plan.wave_heights
     ]
-    outcomes = _map_points(_wave_point, grid, workers)
+    outcomes = evaluate(run_wave_case, [(model, wave, d, True) for d, wave in grid], workers)
 
     report = SweepReport("wave", WAVE_COLUMNS)
-    for (d, period, height), (result, error) in zip(
-        ((g[1], g[2], g[3]) for g in grid), outcomes
-    ):
-        lam = 2.0 * math.pi / solve_dispersion(period, model.environment)
+    for (d, wave), outcome in zip(grid, outcomes):
+        lam = 2.0 * math.pi / solve_dispersion(wave.period, model.environment)
         ratio = d / lam
+        failed = isinstance(outcome, str)
         row: dict = {
             "distance_m": float(d),
-            "period_s": float(period),
-            "height_m": float(height),
+            "period_s": float(wave.period),
+            "height_m": float(wave.height),
             "d_over_lambda": ratio,
             "band": classify_band(ratio),
-            "error": error or "",
+            "error": outcome if failed else "",
         }
-        if result is not None:
-            base = baselines[(period, height)]
-            single_rms = float(base.metrics.rms_rotation[0])
-            row.update(_metrics_fields("front", result, 0))
-            row.update(_metrics_fields("back", result, 1))
-            row.update(
-                {
-                    "single_rms_rad": single_rms,
-                    "single_amplitude_rad": float(base.metrics.amplitude[0]),
-                    "single_power_W": float(base.power[0]),
-                    "front_rms_ratio": _ratio(row["front_rms_rad"], single_rms),
-                    "back_rms_ratio": _ratio(row["back_rms_rad"], single_rms),
-                    "total_power_W": result.total_power,
-                    "steady": result.metrics.steady and base.metrics.steady,
-                }
-            )
+        if not failed:
+            base = baselines[(wave.period, wave.height)]
+            row.update(_pair_fields(("front", "back"), outcome, base))
+            row["total_power_W"] = outcome.total_power
+            row["steady"] = outcome.metrics.steady and base.metrics.steady
         report.rows.append(row)
     return report
 
@@ -342,51 +309,40 @@ def run_heading_study(plan: SweepPlan, model: Model, workers: int = 1) -> SweepR
     the same configuration (the zero-heading row itself is exactly 0).
     """
     d = plan.heading_distance
-    grid = [
-        (model, d, plan.heading_period, plan.heading_height, float(beta))
+    waves = [
+        WaveCondition(plan.heading_height, plan.heading_period, float(beta))
         for beta in plan.headings
     ]
-    outcomes = _map_points(_wave_point, grid, workers)
+    batch = list(waves)
+    if 0.0 not in plan.headings:
+        batch.append(WaveCondition(plan.heading_height, plan.heading_period, 0.0))
+    outcomes = evaluate(run_wave_case, [(model, wave, d, True) for wave in batch], workers)
 
-    zero = next(
-        (res for (args, (res, err)) in zip(grid, outcomes) if args[4] == 0.0 and res is not None),
-        None,
-    )
-    if zero is None:
-        zero_result, zero_error = _wave_point((model, d, plan.heading_period, plan.heading_height, 0.0))
-        if zero_result is None:
-            raise InvalidInputError(f"zero-heading baseline failed: {zero_error}")
-        zero = zero_result
-    zero_power = zero.total_power
+    zero = next(o for wave, o in zip(batch, outcomes) if wave.heading_deg == 0.0)
+    if isinstance(zero, str):
+        raise InvalidInputError(f"zero-heading baseline failed: {zero}")
 
     report = SweepReport("heading", HEADING_COLUMNS)
-    for (args, (result, error)) in zip(grid, outcomes):
-        beta = args[4]
+    for wave, outcome in zip(waves, outcomes):
+        beta = wave.heading_deg
+        failed = isinstance(outcome, str)
         row: dict = {
             "heading_deg": beta,
             "distance_m": float(d),
             "period_s": float(plan.heading_period),
             "height_m": float(plan.heading_height),
-            "error": error or "",
+            "error": outcome if failed else "",
         }
-        if result is not None:
-            row.update(_metrics_fields("front", result, 0))
-            row.update(_metrics_fields("back", result, 1))
+        if not failed:
+            row.update(_pair_fields(("front", "back"), outcome, None))
             row.update(
                 {
-                    "total_power_W": result.total_power,
+                    "total_power_W": outcome.total_power,
                     "power_loss_fraction": (
-                        0.0 if beta == 0.0 else 1.0 - _ratio(result.total_power, zero_power)
+                        0.0 if beta == 0.0 else 1.0 - _ratio(outcome.total_power, zero.total_power)
                     ),
-                    "steady": result.metrics.steady,
+                    "steady": outcome.metrics.steady,
                 }
             )
         report.rows.append(row)
     return report
-
-
-def _map_points(fn, grid: list, workers: int) -> list:
-    if workers > 1 and len(grid) > 1:
-        with multiprocessing.Pool(workers) as pool:
-            return pool.map(fn, grid)
-    return [fn(args) for args in grid]

@@ -219,6 +219,15 @@ class TestAEPCommand:
         assert code == 1
         assert "no_such.csv" in capsys.readouterr().err
 
+    def test_nan_occurrence_exits_1(self, fast_config, tmp_path, capsys):
+        jpd = tmp_path / "nan_jpd.csv"
+        jpd.write_text("hs_m\\te_s,9.5,10\n1.25,nan,0.1\n")
+        code = main([str(fast_config), "--workers", "1", "aep", "--jpd", str(jpd),
+                     "--distances", "45"])
+        assert code == 1
+        assert "nan_jpd.csv:2: column 2" in capsys.readouterr().err
+        assert not (out_dir(fast_config) / "aep_table.csv").exists()
+
     def test_worker_count_does_not_change_bytes(self, fast_config, tmp_path):
         jpd = self._write_jpd(tmp_path)
         out = out_dir(fast_config)

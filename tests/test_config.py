@@ -1,7 +1,9 @@
 import json
+import math
 
 import pytest
 
+from oswec.cli import main
 from oswec.config import load_run_config, reference_model, with_coupling_disabled
 from oswec.errors import InvalidInputError
 from oswec.hydro import AnalyticCoefficientSource, TableCoefficientSource
@@ -118,6 +120,45 @@ class TestLoadRunConfig:
         loaded = load_run_config(path)
         assert loaded.model.integration.steps_per_period == 200
         assert loaded.seed == 0
+
+
+ANALYTIC = {"added_inertia_kg_m2": 2.0e6, "damping_Nm_s_per_rad": 1.0e6, "alpha": 0.05}
+SIMULATE = ["simulate", "--scenario", "single", "--Te", "9.5", "--T0", "1e6"]
+
+
+class TestNonFiniteInputs:
+    """JSON accepts NaN and Infinity literals; every such value is a config error."""
+
+    @pytest.mark.parametrize(
+        "overrides, match",
+        [
+            ({"pto": {"damping_Nm_s_per_rad": math.nan}}, "PTO damping"),
+            (
+                {"coefficients": {"analytic": {**ANALYTIC, "added_inertia_kg_m2": math.nan}}},
+                "added_inertia",
+            ),
+            ({"coefficients": {"analytic": {**ANALYTIC, "eps": math.nan}}}, "eps"),
+            ({"integration": {"convergence_tol": math.inf}}, "convergence_tol"),
+        ],
+        ids=["pto_damping", "added_inertia", "kernel_eps", "convergence_tol"],
+    )
+    def test_config_value_rejected(self, tmp_path, overrides, match):
+        path = write_config(tmp_path / "cfg.json", **overrides)
+        text = path.read_text()
+        assert "NaN" in text or "Infinity" in text
+        with pytest.raises(InvalidInputError, match=match):
+            load_run_config(path)
+        assert main([str(path), *SIMULATE]) == 1
+
+    @pytest.mark.parametrize(
+        "row", ["8,10,1e6,1e5,nan,0", "8,10,1e6,1e5,0,nan"], ids=["Ia_lr", "C_lr"]
+    )
+    def test_table_coupling_rejected(self, tmp_path, row):
+        (tmp_path / "coeffs.csv").write_text(f"period_s,distance_m,Ia,C,Ia_lr,C_lr\n{row}\n")
+        path = write_config(tmp_path / "cfg.json", coefficients={"table_csv": "coeffs.csv"})
+        with pytest.raises(InvalidInputError, match="coupling_.* must be finite"):
+            load_run_config(path)
+        assert main([str(path), *SIMULATE]) == 1
 
 
 class TestCouplingToggle:

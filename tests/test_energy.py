@@ -88,6 +88,16 @@ class TestJPD:
         with pytest.raises(InvalidInputError, match="sum"):
             JPD(np.array([1.75, 3.25]), np.array([8.5]), np.array([[0.7], [0.4]]))
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_fraction_rejected(self, value):
+        # nan < 0 and a nan total > 1 are both false, so this needs its own check
+        with pytest.raises(InvalidInputError, match="finite"):
+            JPD(np.array([1.25]), np.array([9.5, 10.0]), np.array([[value, 0.1]]))
+
+    def test_non_finite_bin_rejected(self):
+        with pytest.raises(InvalidInputError, match="finite"):
+            JPD(np.array([math.nan]), np.array([9.5]), np.array([[0.1]]))
+
 
 class TestLoadJPD:
     def test_roundtrip(self, tmp_path):
@@ -101,6 +111,12 @@ class TestLoadJPD:
         path = tmp_path / "jpd.csv"
         path.write_text("hs_m\\te_s,8.5,9.5\n1.75,0.5,-0.01\n")
         with pytest.raises(InvalidInputError, match="2: column 3"):
+            load_jpd(path)
+
+    def test_nan_cell_names_position(self, tmp_path):
+        path = tmp_path / "jpd.csv"
+        path.write_text("hs_m\\te_s,9.5,10\n1.25,nan,0.1\n")
+        with pytest.raises(InvalidInputError, match=r"jpd.csv:2: column 2: .*not finite"):
             load_jpd(path)
 
     def test_ragged_row(self, tmp_path):

@@ -4,11 +4,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import oswec.sweep as sweep_mod
 from oswec.dynamics import IntegrationConfig
 from oswec.errors import InvalidInputError
 from oswec.forcing import Scenario
 from oswec.hydro import wavelength_deep
 from oswec.sweep import (
+    WAVE_COLUMNS,
     SweepPlan,
     classify_band,
     run_heading_study,
@@ -170,6 +172,23 @@ class TestWaveStudy:
         ]
         assert devs[0] > devs[1] > devs[2]
 
+    def test_failed_point_is_quarantined(self, fast_reference, monkeypatch):
+        real = sweep_mod.run_wave_case
+
+        def flaky(model, wave, distance, dual):
+            if dual and wave.period == 9.5:
+                raise RuntimeError("boom")
+            return real(model, wave, distance, dual)
+
+        monkeypatch.setattr(sweep_mod, "run_wave_case", flaky)
+        plan = SweepPlan(distances=(45.0,), wave_periods=(8.5, 9.5), wave_heights=(1.75,))
+        good, bad = run_wave_study(plan, fast_reference).rows
+        assert bad["error"] == "RuntimeError: boom"
+        assert "front_rms_rad" not in bad and "steady" not in bad
+        assert bad["d_over_lambda"] > 0.0
+        assert good["error"] == ""
+        assert set(good) == set(WAVE_COLUMNS)
+
     def test_baseline_consistency(self, fast_reference):
         plan = SweepPlan(distances=(45.0,), wave_periods=(8.5,), wave_heights=(1.75,))
         row = run_wave_study(plan, fast_reference).rows[0]
@@ -216,6 +235,10 @@ class TestHeadingStudy:
         rows = run_heading_study(plan, fast_reference).rows
         assert len(rows) == 2
         assert 0.0 < rows[0]["power_loss_fraction"] < rows[1]["power_loss_fraction"] < 1.0
+        with_zero = run_heading_study(SweepPlan(headings=(0.0, 30.0, 45.0)), fast_reference)
+        assert [r["power_loss_fraction"] for r in rows] == [
+            r["power_loss_fraction"] for r in with_zero.rows[1:]
+        ]
 
 
 class TestFiniteDepth:
@@ -255,14 +278,22 @@ class TestReports:
         assert set(payload["rows"].keys()) == {"0", "45"}
 
     def test_deterministic_and_worker_independent(self, fast_reference, tmp_path):
-        plan = SweepPlan(distances=(45.0,), wave_periods=(8.5, 9.5), wave_heights=(1.75,))
-        paths = []
-        for tag, workers in (("a", 1), ("b", 1), ("c", 2)):
-            report = run_wave_study(plan, fast_reference, workers=workers)
-            path = tmp_path / f"wave_{tag}.csv"
-            report.to_csv(path)
-            paths.append(path.read_bytes())
-        assert paths[0] == paths[1] == paths[2]
+        plan = SweepPlan(
+            distances=(45.0,),
+            wave_periods=(8.5, 9.5),
+            wave_heights=(1.75,),
+            torque_periods=(8.5, 9.5),
+            torque_amplitudes=(0.6e6,),
+            scenarios=(Scenario.IN_PHASE, Scenario.ARBITRARY_PHASE),
+        )
+        for study in (run_wave_study, run_torque_study):
+            paths = []
+            for tag, workers in (("a", 1), ("b", 1), ("c", 2)):
+                report = study(plan, fast_reference, workers=workers)
+                path = tmp_path / f"{report.study}_{tag}.csv"
+                report.to_csv(path)
+                paths.append(path.read_bytes())
+            assert paths[0] == paths[1] == paths[2], study.__name__
 
     def test_plan_validation(self):
         with pytest.raises(InvalidInputError):
