@@ -24,7 +24,7 @@ def main():
     out = pathlib.Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     report.to_csv(out / "heading_study.csv")
-    report.to_json(out / "heading_study.json", axes=("heading_deg",))
+    report.to_json(out / "heading_study.json")
 
     print(f"{'beta [deg]':>10s} {'front rms [rad]':>16s} {'back rms [rad]':>15s} "
           f"{'total power [kW]':>17s} {'loss':>7s}")

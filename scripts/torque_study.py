@@ -28,7 +28,7 @@ def main():
     out = pathlib.Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     report.to_csv(out / "torque_study.csv")
-    report.to_json(out / "torque_study.json", axes=("scenario", "distance_m", "period_s", "torque_Nm"))
+    report.to_json(out / "torque_study.json")
 
     print(f"{'scenario':24s} {'d [m]':>6s} {'Te [s]':>7s} {'left/single':>12s} {'right/single':>13s}")
     for row in report.rows:

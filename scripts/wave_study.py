@@ -25,7 +25,7 @@ def main():
     out = pathlib.Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     report.to_csv(out / "wave_study.csv")
-    report.to_json(out / "wave_study.json", axes=("distance_m", "period_s", "height_m"))
+    report.to_json(out / "wave_study.json")
 
     print(f"{'d [m]':>6s} {'Te [s]':>7s} {'H [m]':>6s} {'d/lambda':>9s} {'band':>10s} "
           f"{'front/single':>13s} {'back/single':>12s}")

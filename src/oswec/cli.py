@@ -204,7 +204,24 @@ def _write_timeseries(record, path) -> None:
             writer.writerow(row)
 
 
+# the sweep flags each study reads; any other flag given is an error
+_SWEEP_FLAGS = {
+    "torque": ("distances", "periods", "amplitudes"),
+    "wave": ("distances", "periods", "heights"),
+    "heading": ("headings",),
+}
+
+
 def _cmd_sweep(args, run_config: RunConfig, out_dir: str) -> int:
+    ignored = [
+        f"--{flag}"
+        for flag in ("distances", "periods", "amplitudes", "heights", "headings")
+        if getattr(args, flag) is not None and flag not in _SWEEP_FLAGS[args.study]
+    ]
+    if ignored:
+        raise InvalidInputError(
+            f"sweep --study {args.study} does not read {', '.join(ignored)}"
+        )
     overrides = {}
     if args.distances is not None:
         overrides["distances"] = args.distances
@@ -222,19 +239,16 @@ def _cmd_sweep(args, run_config: RunConfig, out_dir: str) -> int:
     model = run_config.model
     if args.study == "torque":
         report = run_torque_study(plan, model, args.workers)
-        axes = ("scenario", "distance_m", "period_s", "torque_Nm")
     elif args.study == "wave":
         report = run_wave_study(plan, model, args.workers)
-        axes = ("distance_m", "period_s", "height_m")
     else:
         report = run_heading_study(plan, model, args.workers)
-        axes = ("heading_deg",)
     report.config = {"config_file": os.path.abspath(args.config)}
 
     csv_path = os.path.join(out_dir, f"sweep_{args.study}.csv")
     json_path = os.path.join(out_dir, f"sweep_{args.study}.json")
     report.to_csv(csv_path)
-    report.to_json(json_path, axes)
+    report.to_json(json_path)
     failures = sum(1 for row in report.rows if row.get("error"))
     print(f"{len(report.rows)} rows ({failures} failed) -> {csv_path}, {json_path}")
     return EXIT_OK

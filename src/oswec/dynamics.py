@@ -174,6 +174,8 @@ class ResponseRecord:
 
     A fixed flap's columns are identically zero. ``steady`` is False when
     the per-cycle RMS drift never dropped below the configured tolerance.
+    ``window`` is the sample slice of the final measure periods, the one
+    every steady-state reduction averages over.
     """
 
     time: np.ndarray  # (S,) s
@@ -182,10 +184,24 @@ class ResponseRecord:
     omega: float  # rad/s
     steady: bool
     cycles: int
+    window: slice
 
     @property
     def dof(self) -> int:
         return self.rotation.shape[1]
+
+    def measured(self, series: np.ndarray) -> np.ndarray:
+        """``series`` (time along axis 0) over the measure window.
+
+        Raises InvalidInputError when the record is shorter than its window.
+        """
+        start, stop = self.window.start, self.window.stop
+        if start < 0:
+            raise InvalidInputError(
+                f"record of {self.time.size} samples is shorter than its "
+                f"{stop - start}-sample measure window"
+            )
+        return series[self.window]
 
 
 def integrate(
@@ -214,12 +230,14 @@ def integrate(
     omega = forcing.omega
     steps = cfg.steps_per_period
     dt = (2.0 * math.pi / omega) / steps
+    span = cfg.measure_periods * steps
 
     if not free:
-        # everything constrained: a single zero cycle
+        # everything constrained: a single zero cycle, shorter than its window
         time = np.arange(steps + 1) * dt
         zeros = np.zeros((steps + 1, n))
-        return ResponseRecord(time, zeros, zeros.copy(), omega, True, 1)
+        window = slice(steps + 1 - span, steps + 1)
+        return ResponseRecord(time, zeros, zeros.copy(), omega, True, 1, window)
 
     m = system.inertia[np.ix_(free, free)]
     c = system.damping[np.ix_(free, free)]
@@ -289,7 +307,8 @@ def integrate(
     for col, idx in enumerate(free):
         rotation[:, idx] = arr[:, col]
         velocity[:, idx] = arr[:, nf + col]
-    return ResponseRecord(time, rotation, velocity, omega, steady, cycles)
+    window = slice(total - span, total)
+    return ResponseRecord(time, rotation, velocity, omega, steady, cycles, window)
 
 
 def freq_domain_solve(system: SystemMatrices, forcing: ForcingSpec) -> np.ndarray:
@@ -383,29 +402,16 @@ class ResponseMetrics:
         return self.rms_rotation.size
 
 
-def measure_window(record: ResponseRecord, cfg: IntegrationConfig) -> slice:
-    """Index slice of the final measure_periods full periods of a record."""
-    span = cfg.measure_periods * cfg.steps_per_period
-    total = record.time.size
-    if total <= span:
-        raise InvalidInputError(
-            f"record of {total} samples is shorter than the {span}-sample measure window"
-        )
-    return slice(total - span, total)
-
-
-def response_metrics(
-    record: ResponseRecord, omega: float, cfg: IntegrationConfig = IntegrationConfig()
-) -> ResponseMetrics:
-    """RMS, amplitude, and phase per flap over the final measurement window."""
-    win = measure_window(record, cfg)
-    rot = record.rotation[win]
+def response_metrics(record: ResponseRecord) -> ResponseMetrics:
+    """RMS, amplitude, and phase per flap over the record's measure window."""
+    t = record.measured(record.time)
+    rot = record.measured(record.rotation)
     rms = np.sqrt(np.mean(rot**2, axis=0))
     n = record.dof
     amplitude = np.zeros(n)
     phase = np.zeros(n)
     for i in range(n):
-        amplitude[i], phase[i] = harmonic_fit(record.time, record.rotation[:, i], omega, win)
+        amplitude[i], phase[i] = harmonic_fit(t, rot[:, i], record.omega)
     return ResponseMetrics(rms, amplitude, phase, record.steady, record.cycles)
 
 
@@ -422,20 +428,16 @@ def phase_distance(a: float, b: float) -> float:
     return abs(wrap_phase(a - b))
 
 
-def input_power(record: ResponseRecord, forcing: ForcingSpec, cfg: IntegrationConfig) -> float:
-    """Mean power fed in by the forcing over the measurement window [W]."""
-    win = measure_window(record, cfg)
-    t = record.time[win]
+def input_power(record: ResponseRecord, forcing: ForcingSpec) -> float:
+    """Mean power fed in by the forcing over the record's measure window [W]."""
+    t = record.measured(record.time)
     tau = forcing.amplitudes()[np.newaxis, :] * np.sin(
         forcing.omega * t[:, np.newaxis] + forcing.phases()[np.newaxis, :]
     )
-    return float(np.mean(np.sum(tau * record.velocity[win], axis=1)))
+    return float(np.mean(np.sum(tau * record.measured(record.velocity), axis=1)))
 
 
-def dissipated_power(
-    record: ResponseRecord, system: SystemMatrices, cfg: IntegrationConfig
-) -> float:
-    """Mean power removed by the damping matrix over the measurement window [W]."""
-    win = measure_window(record, cfg)
-    v = record.velocity[win]
+def dissipated_power(record: ResponseRecord, system: SystemMatrices) -> float:
+    """Mean power removed by the damping matrix over the record's measure window [W]."""
+    v = record.measured(record.velocity)
     return float(np.mean(np.sum((v @ system.damping) * v, axis=1)))

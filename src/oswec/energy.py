@@ -24,7 +24,6 @@ from .dynamics import (
     SystemMatrices,
     assemble_system,
     integrate,
-    measure_window,
     response_metrics,
 )
 from .errors import InvalidInputError, NumericalError
@@ -80,7 +79,7 @@ class Model:
     coefficients: object  # AnalyticCoefficientSource or TableCoefficientSource
     transfer: ExcitationTransfer
     pto: PTOModel
-    integration: IntegrationConfig = IntegrationConfig()
+    integration: IntegrationConfig
 
     def system_for(self, period: float, distance: float, dual: bool) -> SystemMatrices:
         if dual:
@@ -128,12 +127,9 @@ class CaseResult:
         return float(np.sum(self.power))
 
 
-def mean_power(
-    record: ResponseRecord, pto: PTOModel, cfg: IntegrationConfig = IntegrationConfig()
-) -> np.ndarray:
-    """Mean PTO power per flap [W] over the final measurement window."""
-    win = measure_window(record, cfg)
-    v = record.velocity[win]
+def mean_power(record: ResponseRecord, pto: PTOModel) -> np.ndarray:
+    """Mean PTO power per flap [W] over the record's measure window."""
+    v = record.measured(record.velocity)
     return pto.damping * np.mean(v**2, axis=0)
 
 
@@ -147,8 +143,8 @@ def _simulate(model: Model, system: SystemMatrices, forcing: ForcingSpec) -> Cas
     """
     record = integrate(system, forcing, model.integration)
     with np.errstate(over="ignore", invalid="ignore"):
-        metrics = response_metrics(record, forcing.omega, model.integration)
-        power = mean_power(record, model.pto, model.integration)
+        metrics = response_metrics(record)
+        power = mean_power(record, model.pto)
     for name, values in (
         ("rotation RMS", metrics.rms_rotation),
         ("amplitude", metrics.amplitude),

@@ -32,6 +32,11 @@ DEFAULT_SCENARIOS = (
     Scenario.OUT_OF_PHASE,
     Scenario.ARBITRARY_PHASE,
 )
+# the heading study's fixed layout and sea: the 45 m pair under the
+# most-occurring wave
+HEADING_DISTANCE = 45.0  # m
+HEADING_PERIOD = 8.5  # s
+HEADING_HEIGHT = 1.75  # m
 
 
 @dataclass(frozen=True)
@@ -45,9 +50,6 @@ class SweepPlan:
     wave_heights: tuple[float, ...] = DEFAULT_WAVE_HEIGHTS
     headings: tuple[float, ...] = DEFAULT_HEADINGS
     scenarios: tuple[Scenario, ...] = DEFAULT_SCENARIOS
-    heading_distance: float = 45.0
-    heading_period: float = 8.5
-    heading_height: float = 1.75
 
     def __post_init__(self):
         for name in (
@@ -71,10 +73,12 @@ class SweepPlan:
 
 @dataclass
 class SweepReport:
-    """Ordered rows of one study plus the column names they share."""
+    """Ordered rows of one study, the column names they share, and the grid
+    axes (outermost first) that nest the rows in the JSON report."""
 
     study: str
     columns: tuple[str, ...]
+    axes: tuple[str, ...]
     rows: list[dict] = field(default_factory=list)
     config: dict = field(default_factory=dict)
 
@@ -90,18 +94,14 @@ class SweepReport:
             for row in self.rows:
                 writer.writerow({k: _csv_value(row.get(k)) for k in self.columns})
 
-    def to_json(self, path, axes: tuple[str, ...] = ()) -> None:
-        payload: dict = {"study": self.study, "config": self.config}
-        if axes:
-            nested: dict = {}
-            for row in self.rows:
-                node = nested
-                for ax in axes[:-1]:
-                    node = node.setdefault(_axis_key(row[ax]), {})
-                node[_axis_key(row[axes[-1]])] = row
-            payload["rows"] = nested
-        else:
-            payload["rows"] = self.rows
+    def to_json(self, path) -> None:
+        nested: dict = {}
+        for row in self.rows:
+            node = nested
+            for ax in self.axes[:-1]:
+                node = node.setdefault(_axis_key(row[ax]), {})
+            node[_axis_key(row[self.axes[-1]])] = row
+        payload = {"study": self.study, "config": self.config, "rows": nested}
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
@@ -198,7 +198,9 @@ def run_torque_study(plan: SweepPlan, model: Model, workers: int = 1) -> SweepRe
     ]
     outcomes = evaluate(run_torque_case, [(model, scenario) for scenario in grid], workers)
 
-    report = SweepReport("torque", TORQUE_COLUMNS)
+    report = SweepReport(
+        "torque", TORQUE_COLUMNS, ("scenario", "distance_m", "period_s", "torque_Nm")
+    )
     for scenario, outcome in zip(grid, outcomes):
         lam = 2.0 * math.pi / solve_dispersion(scenario.period, model.environment)
         failed = isinstance(outcome, str)
@@ -260,7 +262,7 @@ def run_wave_study(plan: SweepPlan, model: Model, workers: int = 1) -> SweepRepo
     ]
     outcomes = evaluate(run_wave_case, [(model, wave, d, True) for d, wave in grid], workers)
 
-    report = SweepReport("wave", WAVE_COLUMNS)
+    report = SweepReport("wave", WAVE_COLUMNS, ("distance_m", "period_s", "height_m"))
     for (d, wave), outcome in zip(grid, outcomes):
         lam = 2.0 * math.pi / solve_dispersion(wave.period, model.environment)
         ratio = d / lam
@@ -303,34 +305,35 @@ HEADING_COLUMNS = (
 
 
 def run_heading_study(plan: SweepPlan, model: Model, workers: int = 1) -> SweepReport:
-    """Heading sweep at fixed wave condition and separation distance.
+    """Heading sweep over ``plan.headings`` at HEADING_DISTANCE under the
+    HEADING_HEIGHT, HEADING_PERIOD wave; the plan's other axes are unused.
 
     The loss fraction of each row is relative to the zero-heading run of
     the same configuration (the zero-heading row itself is exactly 0).
     """
-    d = plan.heading_distance
     waves = [
-        WaveCondition(plan.heading_height, plan.heading_period, float(beta))
-        for beta in plan.headings
+        WaveCondition(HEADING_HEIGHT, HEADING_PERIOD, float(beta)) for beta in plan.headings
     ]
     batch = list(waves)
     if 0.0 not in plan.headings:
-        batch.append(WaveCondition(plan.heading_height, plan.heading_period, 0.0))
-    outcomes = evaluate(run_wave_case, [(model, wave, d, True) for wave in batch], workers)
+        batch.append(WaveCondition(HEADING_HEIGHT, HEADING_PERIOD, 0.0))
+    outcomes = evaluate(
+        run_wave_case, [(model, wave, HEADING_DISTANCE, True) for wave in batch], workers
+    )
 
     zero = next(o for wave, o in zip(batch, outcomes) if wave.heading_deg == 0.0)
     if isinstance(zero, str):
         raise InvalidInputError(f"zero-heading baseline failed: {zero}")
 
-    report = SweepReport("heading", HEADING_COLUMNS)
+    report = SweepReport("heading", HEADING_COLUMNS, ("heading_deg",))
     for wave, outcome in zip(waves, outcomes):
         beta = wave.heading_deg
         failed = isinstance(outcome, str)
         row: dict = {
             "heading_deg": beta,
-            "distance_m": float(d),
-            "period_s": float(plan.heading_period),
-            "height_m": float(plan.heading_height),
+            "distance_m": HEADING_DISTANCE,
+            "period_s": HEADING_PERIOD,
+            "height_m": HEADING_HEIGHT,
             "error": outcome if failed else "",
         }
         if not failed:

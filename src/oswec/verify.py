@@ -101,17 +101,9 @@ def _random_case(rng: np.random.Generator) -> tuple[SystemMatrices, ForcingSpec,
 
 
 def run_verification(
-    n_cases: int = 20,
-    seed: int = 0,
-    integration: IntegrationConfig = IntegrationConfig(),
-    flip_damping_sign: bool = False,
+    n_cases: int = 20, seed: int = 0, *, integration: IntegrationConfig
 ) -> VerifyOutcome:
-    """Check every property on ``n_cases`` randomized systems.
-
-    ``flip_damping_sign`` is a fault-injection hook for testing the checker
-    itself: it negates the damping matrix inside the energy-balance
-    accounting, which must make that property fail.
-    """
+    """Check every property on ``n_cases`` randomized systems."""
     rng = np.random.default_rng(seed)
     cases = []
     property_failures = {"oracle-amplitude": 0, "oracle-phase": 0, "energy-balance": 0, "linearity": 0}
@@ -119,7 +111,7 @@ def run_verification(
         system, forcing, params = _random_case(rng)
         case = VerifyCase(index, params)
         record = integrate(system, forcing, integration)
-        metrics = response_metrics(record, forcing.omega, integration)
+        metrics = response_metrics(record)
         theta = freq_domain_solve(system, forcing)
 
         for i in range(system.dof):
@@ -141,8 +133,8 @@ def run_verification(
                     )
                     property_failures["oracle-phase"] += 1
 
-        p_in = input_power(record, forcing, integration)
-        p_out = _signed_dissipated(record, system, integration, flip_damping_sign)
+        p_in = input_power(record, forcing)
+        p_out = dissipated_power(record, system)
         denom = max(abs(p_in), abs(p_out), 1e-12)
         if abs(p_in - p_out) / denom > ENERGY_TOL:
             case.failures.append(
@@ -151,7 +143,7 @@ def run_verification(
             property_failures["energy-balance"] += 1
 
         scaled = integrate(system, forcing.scaled(2.0), integration)
-        scaled_metrics = response_metrics(scaled, forcing.omega, integration)
+        scaled_metrics = response_metrics(scaled)
         for i in range(system.dof):
             base_amp = metrics.amplitude[i]
             if base_amp <= _TINY_AMPLITUDE:
@@ -164,11 +156,6 @@ def run_verification(
                 property_failures["linearity"] += 1
         cases.append(case)
     return VerifyOutcome(cases, property_failures)
-
-
-def _signed_dissipated(record, system, integration, flipped: bool) -> float:
-    value = dissipated_power(record, system, integration)
-    return -value if flipped else value
 
 
 def format_report(outcome: VerifyOutcome) -> str:

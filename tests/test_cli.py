@@ -164,6 +164,26 @@ class TestSweepCommand:
         code = main([str(fast_config), "sweep", "--study", "wave", "--distances", ","])
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "study, flag",
+        [
+            ("heading", "--distances"),
+            ("heading", "--periods"),
+            ("heading", "--amplitudes"),
+            ("heading", "--heights"),
+            ("wave", "--amplitudes"),
+            ("wave", "--headings"),
+            ("torque", "--heights"),
+            ("torque", "--headings"),
+        ],
+    )
+    def test_flag_the_study_ignores_exits_1(self, fast_config, capsys, study, flag):
+        code = main([str(fast_config), "sweep", "--study", study, flag, "10,20"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"--study {study}" in err and flag in err
+        assert not (out_dir(fast_config) / f"sweep_{study}.csv").exists()
+
     def test_reruns_are_byte_identical(self, fast_config):
         args = [str(fast_config), "--workers", "1", "sweep", "--study", "heading",
                 "--headings", "0,15,30"]

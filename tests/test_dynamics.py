@@ -94,7 +94,7 @@ class TestIntegrate:
         omega = 2.0 * math.pi / 9.5
         forcing = ForcingSpec(omega, (FlapForcing(0.6e6),))
         record = integrate(reference_1dof(), forcing)
-        metrics = response_metrics(record, omega)
+        metrics = response_metrics(record)
         expected = scalar_amplitude(0.6e6, 1.0e7, 1.0e6, 4.375e6, omega)
         assert expected == pytest.approx(0.9071, abs=2e-4)
         assert metrics.amplitude[0] == pytest.approx(expected, rel=5e-3)
@@ -120,12 +120,12 @@ class TestIntegrate:
         assert np.all(record.velocity[:, 0] == 0.0)
         assert np.any(record.rotation[:, 1] != 0.0)
         # with the left flap fixed the right flap behaves as the single one
-        metrics = response_metrics(record, omega)
+        metrics = response_metrics(record)
         single = integrate(
             SystemMatrices(np.array([[1.0e7]]), np.array([[1.0e6]]), np.array([4.375e6])),
             ForcingSpec(omega, (FlapForcing(1.0e6),)),
         )
-        single_metrics = response_metrics(single, omega)
+        single_metrics = response_metrics(single)
         assert metrics.amplitude[1] == pytest.approx(single_metrics.amplitude[0], rel=1e-9)
 
     def test_unstable_system_raises_named_step(self):
@@ -167,6 +167,19 @@ class TestIntegrate:
         assert not record.steady
         assert record.cycles == 4
 
+    def test_all_fixed_record_is_shorter_than_its_window(self):
+        system = SystemMatrices(np.array([[1.0e7]]), np.array([[1.0e6]]), np.array([4.375e6]))
+        forcing = ForcingSpec(0.7, (FlapForcing(0.0, fixed=True),))
+        record = integrate(system, forcing)
+        assert record.cycles == 1
+        for reduce in (
+            lambda: response_metrics(record),
+            lambda: input_power(record, forcing),
+            lambda: dissipated_power(record, system),
+        ):
+            with pytest.raises(InvalidInputError, match="shorter than its"):
+                reduce()
+
     def test_rk4_step_halving(self):
         # well-damped case so the residual transient cannot mask the dt error
         system = SystemMatrices(np.array([[1.0e7]]), np.array([[4.0e6]]), np.array([4.375e6]))
@@ -176,7 +189,7 @@ class TestIntegrate:
         for steps in (200, 400):
             cfg = IntegrationConfig(steps_per_period=steps)
             record = integrate(system, forcing, cfg)
-            metrics = response_metrics(record, omega, cfg)
+            metrics = response_metrics(record)
             amps.append(metrics.amplitude[0])
         assert abs(amps[1] - amps[0]) / amps[0] < 1e-4
 
@@ -297,20 +310,21 @@ class TestResponseMetrics:
         theta = series_fn(t)
         vel = np.gradient(theta, t)
         return ResponseRecord(
-            t, theta[:, None], vel[:, None], omega, steady=True, cycles=periods
+            t, theta[:, None], vel[:, None], omega, steady=True, cycles=periods,
+            window=slice(t.size - 10 * steps, t.size),
         )
 
     def test_rms_of_pure_harmonic(self):
         omega = 0.7
         record = self._synthetic_record(lambda t: 0.2 * np.sin(omega * t), omega)
-        metrics = response_metrics(record, omega)
+        metrics = response_metrics(record)
         assert metrics.rms_rotation[0] == pytest.approx(0.2 / math.sqrt(2), rel=1e-9)
         assert metrics.amplitude[0] == pytest.approx(0.2, rel=1e-9)
 
     def test_zero_record(self):
         omega = 0.7
         record = self._synthetic_record(lambda t: np.zeros_like(t), omega)
-        metrics = response_metrics(record, omega)
+        metrics = response_metrics(record)
         assert metrics.rms_rotation[0] == 0.0
         assert metrics.amplitude[0] == 0.0
         assert metrics.phase[0] == 0.0
@@ -318,7 +332,7 @@ class TestResponseMetrics:
     def test_resonant_rms(self):
         omega = 2.0 * math.pi / 9.5
         record = integrate(reference_1dof(), ForcingSpec(omega, (FlapForcing(0.6e6),)))
-        metrics = response_metrics(record, omega)
+        metrics = response_metrics(record)
         assert metrics.rms_rotation[0] == pytest.approx(0.9071 / math.sqrt(2), rel=5e-3)
 
 
@@ -347,7 +361,7 @@ class TestOracleEquivalence:
                 ),
             )
             record = integrate(system, forcing)
-            metrics = response_metrics(record, omega)
+            metrics = response_metrics(record)
             theta = freq_domain_solve(system, forcing)
             for i in range(2):
                 assert metrics.amplitude[i] == pytest.approx(abs(theta[i]), rel=0.01)
@@ -364,16 +378,16 @@ class TestOracleEquivalence:
         omega = 2.0 * math.pi / 8.5
         forcing = ForcingSpec(omega, (FlapForcing(1.0e6, 0.2), FlapForcing(0.7e6, -1.1)))
         record = integrate(system, forcing, cfg)
-        p_in = input_power(record, forcing, cfg)
-        p_out = dissipated_power(record, system, cfg)
+        p_in = input_power(record, forcing)
+        p_out = dissipated_power(record, system)
         assert p_in == pytest.approx(p_out, rel=0.01)
         assert p_in > 0.0
 
     def test_linearity_is_exact(self):
         omega = 2.0 * math.pi / 8.5
         forcing = ForcingSpec(omega, (FlapForcing(0.6e6),))
-        base = response_metrics(integrate(reference_1dof(), forcing), omega)
-        scaled = response_metrics(integrate(reference_1dof(), forcing.scaled(2.0)), omega)
+        base = response_metrics(integrate(reference_1dof(), forcing))
+        scaled = response_metrics(integrate(reference_1dof(), forcing.scaled(2.0)))
         assert scaled.amplitude[0] / base.amplitude[0] == pytest.approx(2.0, rel=1e-9)
 
     @given(scale=st.floats(min_value=0.01, max_value=100.0))

@@ -7,7 +7,16 @@ from hypothesis import strategies as st
 
 import oswec.energy as energy_mod
 from oswec.config import with_coupling_disabled
-from oswec.dynamics import IntegrationConfig, ResponseRecord
+from oswec.dynamics import (
+    FlapForcing,
+    ForcingSpec,
+    IntegrationConfig,
+    ResponseRecord,
+    SystemMatrices,
+    freq_domain_solve,
+    integrate,
+    response_metrics,
+)
 from oswec.energy import (
     JPD,
     AEPReport,
@@ -24,7 +33,7 @@ from oswec.energy import (
     write_power_matrix_csv,
 )
 from oswec.errors import InvalidInputError, NumericalError
-from oswec.forcing import Scenario, TorqueScenario, WaveCondition
+from oswec.forcing import Scenario, TorqueScenario, WaveCondition, build_wave_forcing
 from oswec.hydro import HydroCoefficients
 
 
@@ -32,7 +41,8 @@ def synthetic_record(omega, velocity_amp, periods=20, steps=200):
     t = np.arange(periods * steps + 1) * (2 * math.pi / omega / steps)
     vel = velocity_amp * np.sin(omega * t)
     theta = -(velocity_amp / omega) * np.cos(omega * t)
-    return ResponseRecord(t, theta[:, None], vel[:, None], omega, steady=True, cycles=periods)
+    return ResponseRecord(t, theta[:, None], vel[:, None], omega, steady=True, cycles=periods,
+                          window=slice(t.size - 10 * steps, t.size))
 
 
 class TestMeanPower:
@@ -51,6 +61,23 @@ class TestMeanPower:
         p1 = mean_power(synthetic_record(0.7, 0.3), PTOModel(1.0e6))[0]
         p2 = mean_power(synthetic_record(0.7, 0.6), PTOModel(1.0e6))[0]
         assert p2 / p1 == pytest.approx(4.0, rel=1e-9)
+
+
+class TestRecordWindow:
+    """Reductions read the measure window of the record they are given."""
+
+    def test_coarse_record_reduces_over_its_own_window(self):
+        cfg = IntegrationConfig(steps_per_period=100)
+        system = SystemMatrices(np.array([[1.0e7]]), np.array([[1.0e6]]), np.array([4.375e6]))
+        omega = 2.0 * math.pi / 9.5
+        record = integrate(system, ForcingSpec(omega, (FlapForcing(0.6e6),)), cfg)
+        expected = 0.6e6 / (1.0e6 * omega)
+        assert response_metrics(record).amplitude[0] == pytest.approx(expected, rel=5e-3)
+        pto = PTOModel(0.5e6)
+        last = record.velocity[-cfg.measure_periods * cfg.steps_per_period :]
+        np.testing.assert_allclose(
+            mean_power(record, pto), pto.damping * np.mean(last**2, axis=0), rtol=1e-12
+        )
 
 
 class TestPTO:
@@ -287,9 +314,6 @@ class TestPowerMatrix:
 
     def test_wave_case_against_oracle(self, fast_reference):
         # one dual run cross-checked against the frequency-domain power
-        from oswec.dynamics import freq_domain_solve
-        from oswec.forcing import build_wave_forcing
-
         model = fast_reference
         wave = WaveCondition(1.75, 8.5)
         result = run_wave_case(model, wave, 45.0, dual=True)
@@ -314,8 +338,10 @@ class TestNonFiniteBackstop:
             t = np.arange(total) * (forcing.period / integration.steps_per_period)
             series = {"rotation": np.zeros((total, 2)), "velocity": np.zeros((total, 2))}
             series[column][:] = 1.0e153
+            span = integration.measure_periods * integration.steps_per_period
             return ResponseRecord(t, series["rotation"], series["velocity"], forcing.omega,
-                                  steady=True, cycles=integration.max_periods)
+                                  steady=True, cycles=integration.max_periods,
+                                  window=slice(total - span, total))
 
         assert cfg.steps_per_period * 1.0e306 < np.finfo(float).max
         assert cfg.measure_periods * cfg.steps_per_period * 1.0e306 > np.finfo(float).max
@@ -324,3 +350,18 @@ class TestNonFiniteBackstop:
             run_torque_case(fast_reference, TorqueScenario(Scenario.IN_PHASE, 1.0e6, 8.5, 45.0))
         with pytest.raises(NumericalError, match="non-finite"):
             run_wave_case(fast_reference, WaveCondition(1.75, 8.5), 45.0, dual=True)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="integrate declares steady state after the 20-period minimum while the "
+    "measure window still holds part of the transient (about -0.5% power here)",
+)
+def test_steady_power_matches_oracle_to_a_tenth_of_a_percent(reference):
+    wave = WaveCondition(1.75, 9.5)
+    result = run_wave_case(reference, wave, 10.0, dual=True)
+    system = reference.system_for(9.5, 10.0, True)
+    forcing = build_wave_forcing(wave, 10.0, reference.transfer, reference.environment)
+    theta = freq_domain_solve(system, forcing)
+    expected = reference.pto.damping * (forcing.omega * np.abs(theta)) ** 2 / 2.0
+    np.testing.assert_allclose(result.power, expected, rtol=1e-3)

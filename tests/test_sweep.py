@@ -273,7 +273,7 @@ class TestReports:
         plan = SweepPlan(headings=(0.0, 45.0))
         report = run_heading_study(plan, fast_reference)
         path = tmp_path / "heading.json"
-        report.to_json(path, axes=("heading_deg",))
+        report.to_json(path)
         payload = json.loads(path.read_text())
         assert set(payload["rows"].keys()) == {"0", "45"}
 
