@@ -65,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=os.cpu_count() or 1,
-        help="parallel workers for sweep/aep cells (default: machine parallelism)",
+        help="parallel workers for sweep/aep cells, at least 1 (default: machine parallelism)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -106,6 +106,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if args.workers < 1:
+            raise InvalidInputError(f"--workers must be >= 1, got {args.workers}")
         run_config = load_run_config(args.config)
         out_dir = args.out or run_config.output_dir
         if args.command != "verify":
@@ -259,9 +261,8 @@ def _cmd_aep(args, run_config: RunConfig, out_dir: str) -> int:
     if not os.path.exists(jpd_path):
         raise InvalidInputError(f"JPD file not found: {jpd_path}")
     jpd = load_jpd(jpd_path)
-    distances = args.distances if args.distances is not None else SweepPlan().distances
-    if len(distances) == 0:
-        raise InvalidInputError("aep needs at least one distance")
+    # the plan checks the distances before any case runs
+    plan = SweepPlan() if args.distances is None else SweepPlan(distances=args.distances)
     model = run_config.model
 
     rows = []
@@ -278,7 +279,7 @@ def _cmd_aep(args, run_config: RunConfig, out_dir: str) -> int:
             "annual_energy_GWh": 2.0 * single_report.total_gwh,
         }
     )
-    for d in distances:
+    for d in plan.distances:
         design = Design(model, distance=float(d), heading_deg=args.heading, dual=True)
         pm = compute_power_matrix(design, jpd.hs_bins, jpd.te_bins, jpd.occurrence, args.workers)
         report = annual_energy(pm, jpd)

@@ -69,6 +69,12 @@ class SweepPlan:
             raise InvalidInputError("sweep plan axis headings is empty")
         if any(not 0.0 <= b < 90.0 for b in self.headings):
             raise InvalidInputError("headings must lie in [0, 90) degrees")
+        for name, values in vars(self).items():
+            repeats = [v for i, v in enumerate(values) if v in values[:i]]
+            if repeats:
+                raise InvalidInputError(
+                    f"sweep plan axis {name} repeats {_axis_key(repeats[0])}"
+                )
 
 
 @dataclass

@@ -278,5 +278,38 @@ class TestUsageErrors:
     def test_unknown_study_exits_1(self, fast_config):
         assert main([str(fast_config), "sweep", "--study", "nope"]) == 1
 
+    @pytest.mark.parametrize(
+        "args, named",
+        [
+            (["--workers", "0", "verify", "--cases", "1"], ("--workers", "0")),
+            (["--workers", "-4", "sweep", "--study", "heading"], ("--workers", "-4")),
+            (["sweep", "--study", "wave", "--distances", "10,45,10"], ("distances", "10")),
+            (["sweep", "--study", "torque", "--periods", "8.5,8.5"], ("torque_periods", "8.5")),
+            (["sweep", "--study", "torque", "--amplitudes", "6e5,6e5"],
+             ("torque_amplitudes", "600000")),
+            (["sweep", "--study", "wave", "--heights", "1.75,3.25,1.75"],
+             ("wave_heights", "1.75")),
+            (["sweep", "--study", "heading", "--headings", "0,15,0"], ("headings", "0")),
+            (["aep", "--jpd", "JPD", "--distances", "10,10"], ("distances", "10")),
+        ],
+        ids=["workers-0", "workers-negative", "sweep-distances", "sweep-periods",
+             "sweep-amplitudes", "sweep-heights", "sweep-headings", "aep-distances"],
+    )
+    def test_bad_input_exits_1_before_any_case(
+        self, fast_config, data_dir, monkeypatch, capsys, args, named
+    ):
+        def no_case(*_):
+            raise AssertionError("a case ran before the input was checked")
+
+        monkeypatch.setattr("oswec.energy.integrate", no_case)
+        monkeypatch.setattr("oswec.verify.integrate", no_case)
+        args = [str(data_dir / "sample_jpd.csv") if a == "JPD" else a for a in args]
+        assert main([str(fast_config), *args]) == 1
+        err = capsys.readouterr().err
+        assert "configuration error" in err
+        assert all(word in err for word in named), err
+        out = out_dir(fast_config)
+        assert not out.exists() or not any(out.iterdir())
+
     def test_missing_subcommand_exits_1(self, fast_config):
         assert main([str(fast_config)]) == 1

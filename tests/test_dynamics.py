@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -23,7 +24,13 @@ from oswec.dynamics import (
 )
 from oswec.config import reference_model
 from oswec.errors import InvalidInputError, NumericalError
-from oswec.forcing import Scenario, TorqueScenario, build_torque_scenario
+from oswec.forcing import (
+    Scenario,
+    TorqueScenario,
+    WaveCondition,
+    build_torque_scenario,
+    build_wave_forcing,
+)
 from oswec.hydro import FlapProperties, HydroCoefficients
 
 PROPS = FlapProperties(inertia_dry=1.0e7, stiffness=4.375e6)
@@ -197,6 +204,243 @@ class TestIntegrate:
         forcing = ForcingSpec(0.7, (FlapForcing(1.0e6), FlapForcing(1.0e6)))
         with pytest.raises(InvalidInputError):
             integrate(reference_1dof(), forcing)
+
+
+def stepped_rk4(system, forcing, cfg=IntegrationConfig()):
+    """Reference: the same RK4 run one step at a time, as plain Python.
+
+    Returns (rotation, velocity, cycles, steady, window) shaped like the
+    fields of ``integrate``'s record, or raises NumericalError naming the
+    first non-finite step as ``integrate`` does.
+    """
+    n = system.dof
+    free = forcing.free_indices()
+    omega = forcing.omega
+    steps = cfg.steps_per_period
+    dt = (2.0 * math.pi / omega) / steps
+    m = system.inertia[np.ix_(free, free)]
+    c = system.damping[np.ix_(free, free)]
+    k = system.stiffness[free]
+    amp = forcing.amplitudes()[free]
+    phase = forcing.phases()[free]
+    nf = len(free)
+    minv = np.linalg.inv(m)
+    a_mat = np.zeros((2 * nf, 2 * nf))
+    a_mat[:nf, nf:] = np.eye(nf)
+    a_mat[nf:, :nf] = -minv * k[np.newaxis, :]
+    a_mat[nf:, nf:] = -minv @ c
+
+    def rhs(t, y):
+        dy = a_mat @ y
+        dy[nf:] += minv @ (amp * np.sin(omega * t + phase))
+        return dy
+
+    y = np.zeros(2 * nf)
+    samples = [y.copy()]
+    half = 0.5 * dt
+    sixth = dt / 6.0
+    prev_rms = None
+    steady = False
+    cycles = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for cycle in range(cfg.max_periods):
+            start = cycle * steps
+            for j in range(steps):
+                t = (start + j) * dt
+                k1 = rhs(t, y)
+                k2 = rhs(t + half, y + half * k1)
+                k3 = rhs(t + half, y + half * k2)
+                k4 = rhs(t + dt, y + dt * k3)
+                y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                samples.append(y.copy())
+            cycles = cycle + 1
+            block = np.asarray(samples[start + 1 : start + steps + 1])
+            finite = np.isfinite(block * block).all(axis=1)
+            rms = np.sqrt(np.mean(block[:, :nf] ** 2, axis=0))
+            if not (finite.all() and np.isfinite(rms).all()):
+                bad = start + (int(np.argmin(finite)) + 1 if not finite.all() else steps)
+                raise NumericalError(f"state became non-finite at step {bad}")
+            if prev_rms is not None and cycles >= cfg.ramp_periods + cfg.measure_periods:
+                drift = np.abs(rms - prev_rms)
+                if np.all(drift <= cfg.convergence_tol * np.maximum(rms, prev_rms)):
+                    steady = True
+                    break
+            prev_rms = rms
+
+    arr = np.asarray(samples)
+    total = arr.shape[0]
+    rotation = np.zeros((total, n))
+    velocity = np.zeros((total, n))
+    for col, idx in enumerate(free):
+        rotation[:, idx] = arr[:, col]
+        velocity[:, idx] = arr[:, nf + col]
+    window = slice(total - cfg.measure_periods * steps, total)
+    return rotation, velocity, cycles, steady, window
+
+
+def _coupled_pair():
+    coeffs = HydroCoefficients(2.0e6, 1.0e6, coupling_inertia=-5e5, coupling_damping=-2e5)
+    return assemble_system(FlapProperties(8.0e6, 4.375e6), coeffs, dof=2)
+
+
+def _reference_flap_case():
+    omega = 2.0 * math.pi / 9.5
+    return reference_1dof(), ForcingSpec(omega, (FlapForcing(0.6e6),)), IntegrationConfig()
+
+
+def _wave_case(period):
+    model = reference_model()
+    system = model.system_for(period, 10.0, dual=True)
+    forcing = build_wave_forcing(
+        WaveCondition(1.75, period), 10.0, model.transfer, model.environment
+    )
+    return system, forcing, model.integration
+
+
+def _right_only_left_fixed_case():
+    model = reference_model()
+    scenario = TorqueScenario(Scenario.RIGHT_ONLY_LEFT_FIXED, 1.0e6, 8.5, 10.0)
+    system = model.system_for(scenario.period, scenario.distance, dual=True)
+    forcing = build_torque_scenario(scenario, model.environment)
+    assert forcing.free_indices() == [1]
+    return system, forcing, model.integration
+
+
+def _arbitrary_phase_case():
+    omega = 2.0 * math.pi / 8.5
+    forcing = ForcingSpec(omega, (FlapForcing(1.0e6, 0.7), FlapForcing(0.6e6, -2.1)))
+    return _coupled_pair(), forcing, IntegrationConfig()
+
+
+def _coarse_step_case():
+    omega = 2.0 * math.pi / 10.5
+    forcing = ForcingSpec(omega, (FlapForcing(1.0e6, 0.3), FlapForcing(0.8e6)))
+    return _coupled_pair(), forcing, IntegrationConfig(steps_per_period=37)
+
+
+def _growing_case():
+    system, forcing = unstable_in_phase_case()
+    return system, forcing, replace(UNSTABLE_CFG, max_periods=85)
+
+
+def _step_named(excinfo) -> int:
+    return int(re.search(r"non-finite at step (\d+)", str(excinfo.value)).group(1))
+
+
+class TestCycleMapMatchesStepper:
+    """``integrate`` advances one forcing period per array product; the
+    literal RK4 stepper above must give the same record up to rounding."""
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            _reference_flap_case,
+            lambda: _wave_case(9.5),
+            lambda: _wave_case(7.5),
+            _right_only_left_fixed_case,
+            _arbitrary_phase_case,
+            _coarse_step_case,
+            _growing_case,
+        ],
+        ids=[
+            "reference-flap",
+            "wave-d10-Te9.5",
+            "wave-d10-Te7.5",
+            "right-only-left-fixed",
+            "arbitrary-phase",
+            "37-steps",
+            "growing-85-periods",
+        ],
+    )
+    def test_same_record(self, case):
+        system, forcing, cfg = case()
+        rotation, velocity, cycles, steady, window = stepped_rk4(system, forcing, cfg)
+        record = integrate(system, forcing, cfg)
+        for got, want in ((record.rotation, rotation), (record.velocity, velocity)):
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * np.max(np.abs(want)))
+        assert record.cycles == cycles
+        assert record.steady == steady
+        assert record.window == window
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            lambda: (*unstable_in_phase_case(), UNSTABLE_CFG),
+            lambda: (
+                SystemMatrices(
+                    np.array([[1.0e7, 0.0], [0.0, 1.0e7]]),
+                    np.array([[1.0e6, -3.0e7], [-3.0e7, 1.0e6]]),
+                    np.array([4.375e6, 4.375e6]),
+                ),
+                ForcingSpec(2.0 * math.pi / 9.5, (FlapForcing(1.0e6), FlapForcing(1.0e6))),
+                IntegrationConfig(),
+            ),
+        ],
+        ids=["unstable-in-phase", "negative-coupling-damping"],
+    )
+    def test_same_first_bad_step(self, case):
+        system, forcing, cfg = case()
+        with pytest.raises(NumericalError) as stepped:
+            stepped_rk4(system, forcing, cfg)
+        with pytest.raises(NumericalError) as mapped:
+            integrate(system, forcing, cfg)
+        assert _step_named(mapped) == _step_named(stepped)
+
+
+@st.composite
+def linear_systems(draw):
+    """Random 1- and 2-DOF systems and forcing, stable or not."""
+    dof = draw(st.sampled_from([1, 2]))
+    inertia = 10.0 ** draw(st.floats(6.0, 7.3))
+    omega_n = draw(st.floats(0.4, 1.2))
+    damping = 2.0 * draw(st.floats(0.02, 1.0)) * inertia * omega_n
+    ci = draw(st.floats(-0.899, 0.899)) * inertia
+    cd = draw(st.floats(-3.0, 3.0)) * damping
+    omega = draw(st.floats(0.5, 2.0)) * omega_n
+    fixed = draw(st.sampled_from([None, 0, 1])) if dof == 2 else None
+    flaps = tuple(
+        FlapForcing(0.0, fixed=True)
+        if i == fixed
+        else FlapForcing(draw(st.floats(0.0, 2.0e6)), draw(st.floats(-math.pi, math.pi)))
+        for i in range(dof)
+    )
+    if dof == 1:
+        system = SystemMatrices(
+            np.array([[inertia]]), np.array([[damping]]), np.array([inertia * omega_n**2])
+        )
+    else:
+        system = SystemMatrices(
+            np.array([[inertia, ci], [ci, inertia]]),
+            np.array([[damping, cd], [cd, damping]]),
+            np.full(2, inertia * omega_n**2),
+        )
+    ramp = draw(st.integers(1, 10))
+    measure = draw(st.integers(3, 10))
+    cfg = IntegrationConfig(
+        steps_per_period=draw(st.sampled_from([37, 120, 200])),
+        ramp_periods=ramp,
+        measure_periods=measure,
+        max_periods=draw(st.integers(ramp + measure, 120)),
+    )
+    return system, ForcingSpec(omega, flaps), cfg
+
+
+@given(linear_systems())
+@settings(max_examples=150, deadline=None)
+def test_integrate_is_finite_or_names_the_step(case):
+    """Every run returns a finite record or raises the named-step error."""
+    system, forcing, cfg = case
+    try:
+        record = integrate(system, forcing, cfg)
+    except NumericalError as exc:
+        assert re.search(r"non-finite at step \d+", str(exc))
+        return
+    assert np.isfinite(record.rotation**2).all()
+    assert np.isfinite(record.velocity**2).all()
+    assert record.cycles <= cfg.max_periods
+    if record.steady:
+        assert record.cycles >= cfg.ramp_periods + cfg.measure_periods
 
 
 class TestFreqDomain:
