@@ -1,41 +1,53 @@
 #!/usr/bin/env python3
 """Heading study: power loss versus wave direction for the 45 m pair under
-the most-occurring wave (8.5 s, 1.75 m), headings 0-45 degrees.
+the most-occurring wave (8.5 s, 1.75 m), headings 0-45 degrees. Runs
+``oswec sweep --study heading`` on configs/reference.json and prints the
+losses from the written JSON.
 """
 
 import argparse
+import json
 import pathlib
 import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from oswec import reference_model  # noqa: E402
-from oswec.sweep import SweepPlan, run_heading_study  # noqa: E402
+from oswec.cli import main as oswec_main  # noqa: E402
+
+REPO = pathlib.Path(__file__).resolve().parents[1]
 
 
-def main():
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--workers", type=int, default=2)
     args = parser.parse_args()
 
-    report = run_heading_study(SweepPlan(), reference_model(), workers=args.workers)
+    code = oswec_main(
+        [
+            str(REPO / "configs" / "reference.json"),
+            "--out", args.out,
+            "--workers", str(args.workers),
+            "sweep", "--study", "heading",
+        ]
+    )
+    if code != 0:
+        return code
+    report = json.loads((pathlib.Path(args.out) / "sweep_heading.json").read_text())
 
-    out = pathlib.Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    report.to_csv(out / "heading_study.csv")
-    report.to_json(out / "heading_study.json")
-
-    print(f"{'beta [deg]':>10s} {'front rms [rad]':>16s} {'back rms [rad]':>15s} "
+    print(f"\n{'beta [deg]':>10s} {'front rms [rad]':>16s} {'back rms [rad]':>15s} "
           f"{'total power [kW]':>17s} {'loss':>7s}")
-    for row in report.rows:
+    for row in report["rows"].values():
+        if row["error"]:
+            print(f"{row['heading_deg']:10.0f} {row['error']}")
+            continue
         print(
             f"{row['heading_deg']:10.0f} {row['front_rms_rad']:16.4f} "
             f"{row['back_rms_rad']:15.4f} {row['total_power_W'] / 1e3:17.1f} "
             f"{row['power_loss_fraction']:7.2%}"
         )
-    print(f"\n{len(report.rows)} rows -> {out / 'heading_study.csv'}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

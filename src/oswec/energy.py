@@ -318,10 +318,91 @@ def evaluate(fn, tasks, workers: int = 1) -> list:
     return [_quarantined(fn, *task) for task in tasks]
 
 
-def _cell_power(model: Model, wave: WaveCondition, distance: float, dual: bool):
-    """Power per flap and steady flag of one power-matrix cell."""
-    result = run_wave_case(model, wave, distance, dual)
-    return result.power, result.metrics.steady
+@dataclass(frozen=True)
+class CellResult:
+    """Metrics and mean PTO power [W] per flap of one grid cell, without a record."""
+
+    metrics: ResponseMetrics
+    power: np.ndarray  # (n,) W
+
+    @property
+    def total_power(self) -> float:
+        return float(np.sum(self.power))
+
+    def scaled(self, factor: float) -> "CellResult | None":
+        """This cell with its forcing amplitude times ``factor``: RMS and
+        amplitude scale by it and power by its square, while phase,
+        ``steady`` and ``cycles_used`` stay. None when a value overflows."""
+        m = self.metrics
+        with np.errstate(over="ignore"):
+            rms = m.rms_rotation * factor
+            amplitude = m.amplitude * factor
+            power = self.power * (factor * factor)
+        if not all(np.isfinite(v).all() for v in (rms, amplitude, power)):
+            return None
+        return CellResult(replace(m, rms_rotation=rms, amplitude=amplitude), power)
+
+
+def _reduced(fn, *task) -> CellResult:
+    """``fn(*task)`` reduced to its metrics and power; the record is dropped."""
+    result = fn(*task)
+    return CellResult(result.metrics, result.power)
+
+
+def _unit_cell(fn, *task) -> tuple[CellResult, float]:
+    """``fn(*task)`` reduced, and the largest factor its forcing may be
+    scaled by while every squared state of the record, and any sum of
+    those squares over the record, stays well inside the float range."""
+    result = fn(*task)
+    record = result.record
+    peak = float(max(np.max(np.abs(record.rotation)), np.max(np.abs(record.velocity))))
+    room = math.sqrt(np.finfo(float).max / (4.0 * record.time.size))
+    return CellResult(result.metrics, result.power), room / peak if peak > 0.0 else math.inf
+
+
+def _unit_amplitude(condition: WaveCondition | TorqueScenario):
+    """``condition`` at unit forcing (1 m wave height or 1 N m torque), and
+    the factor that scales that forcing back to ``condition``'s."""
+    if isinstance(condition, WaveCondition):
+        return replace(condition, height=1.0), condition.height
+    return replace(condition, amplitude=1.0), condition.amplitude
+
+
+def evaluate_linear(fn, model: Model, cases, workers: int = 1) -> list:
+    """``fn(model, *case)`` as a CellResult, or quarantined as ``evaluate``
+    does, for each case, in case order.
+
+    A case's first item is a WaveCondition or a TorqueScenario. The model is
+    linear in the forcing, so ``fn`` runs once per distinct case at unit
+    amplitude, and each case scales that result by its wave height or
+    torque amplitude (``CellResult.scaled``). A case runs on its own instead,
+    in a second ``evaluate``, when its unit run failed or is not steady, or
+    when a scaled value or state would not be finite: an unstable system
+    overflows at a step that depends on the amplitude, so only the case's
+    own run gives its error and flags.
+    """
+    split = []
+    for condition, *rest in cases:
+        unit, factor = _unit_amplitude(condition)
+        split.append(((unit, *rest), factor))
+    keys = list(dict.fromkeys(key for key, _ in split))
+    units = evaluate(functools.partial(_unit_cell, fn), [(model, *key) for key in keys], workers)
+    by_key = dict(zip(keys, units))
+
+    results = []
+    for key, factor in split:
+        outcome = by_key[key]
+        scaled = None
+        if not isinstance(outcome, str):
+            unit, limit = outcome
+            if unit.metrics.steady and factor <= limit:
+                scaled = unit.scaled(factor)
+        results.append(scaled)
+    direct = [index for index, result in enumerate(results) if result is None]
+    tasks = [(model, *cases[index]) for index in direct]
+    for index, outcome in zip(direct, evaluate(functools.partial(_reduced, fn), tasks, workers)):
+        results[index] = outcome
+    return results
 
 
 def compute_power_matrix(
@@ -331,7 +412,8 @@ def compute_power_matrix(
     occurrence: np.ndarray | None = None,
     workers: int = 1,
 ) -> PowerMatrix:
-    """Evaluate the mean-power matrix cell by cell.
+    """Evaluate the mean-power matrix: each period is integrated once, at
+    unit wave height, and every Hs row scales it (``evaluate_linear``).
 
     When ``occurrence`` is given, cells with zero occurrence are skipped
     (partial power matrix); their power stays 0 and ``computed`` is False.
@@ -354,17 +436,26 @@ def compute_power_matrix(
     failures: list[str] = []
 
     cells = [
-        (i, j, WaveCondition(float(hs_bins[i]), float(te_bins[j]), design.heading_deg))
+        (i, j)
         for i in range(hs_bins.size)
         for j in range(te_bins.size)
         if occurrence is None or occurrence[i, j] > 0.0
     ]
-    tasks = [(design.model, wave, design.distance, design.dual) for _, _, wave in cells]
-    for (i, j, _), outcome in zip(cells, evaluate(_cell_power, tasks, workers)):
+    cases = [
+        (
+            WaveCondition(float(hs_bins[i]), float(te_bins[j]), design.heading_deg),
+            design.distance,
+            design.dual,
+        )
+        for i, j in cells
+    ]
+    outcomes = evaluate_linear(run_wave_case, design.model, cases, workers)
+    for (i, j), outcome in zip(cells, outcomes):
         if isinstance(outcome, str):
             failures.append(f"cell hs={hs_bins[i]:g} te={te_bins[j]:g}: {outcome}")
             continue
-        per_flap[i, j], steady[i, j] = outcome
+        per_flap[i, j] = outcome.power
+        steady[i, j] = outcome.metrics.steady
         computed[i, j] = True
     return PowerMatrix(
         hs_bins=hs_bins,

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .energy import CaseResult, Model, evaluate, run_torque_case, run_wave_case
+from .energy import CellResult, Model, evaluate_linear, run_torque_case, run_wave_case
 from .errors import InvalidInputError
 from .forcing import Scenario, TorqueScenario, WaveCondition
 from .hydro import solve_dispersion
@@ -139,7 +139,7 @@ def _ratio(value: float, reference: float) -> float:
     return value / reference if reference != 0.0 else math.nan
 
 
-def _pair_fields(names: tuple[str, str], result: CaseResult, base: CaseResult | None) -> dict:
+def _pair_fields(names: tuple[str, str], result: CellResult, base: CellResult | None) -> dict:
     """Both flaps' metrics; with a single-flap ``base``, also the baseline
     and each flap's RMS ratio to it."""
     fields = {}
@@ -156,6 +156,16 @@ def _pair_fields(names: tuple[str, str], result: CaseResult, base: CaseResult | 
         for name in names:
             fields[f"{name}_rms_ratio"] = _ratio(fields[f"{name}_rms_rad"], single_rms)
     return fields
+
+
+def _baseline(fn, model: Model, case: tuple, outcome):
+    """A single-flap baseline's outcome. A failed baseline fails the whole
+    study, so it runs again here, unquarantined, to raise its own exception
+    (a NumericalError exits 2)."""
+    if isinstance(outcome, str):
+        result = fn(model, *case)
+        return CellResult(result.metrics, result.power)
+    return outcome
 
 
 TORQUE_COLUMNS = (
@@ -185,16 +195,16 @@ TORQUE_COLUMNS = (
 def run_torque_study(plan: SweepPlan, model: Model, workers: int = 1) -> SweepReport:
     """Grid of torque scenarios compared against the single-flap baseline.
 
-    The single baseline is computed once per (period, amplitude) pair and
-    shared across scenarios and distances.
+    Each scenario, distance and period, and the single flap at each period,
+    is integrated once at unit torque and scaled to every amplitude
+    (``evaluate_linear``). The single baseline is shared across scenarios
+    and distances.
     """
-    baselines = {
-        (period, amplitude): run_torque_case(
-            model, TorqueScenario(Scenario.SINGLE, amplitude, period)
-        )
+    singles = [
+        TorqueScenario(Scenario.SINGLE, amplitude, period)
         for period in plan.torque_periods
         for amplitude in plan.torque_amplitudes
-    }
+    ]
     grid = [
         TorqueScenario(variant, amplitude, period, d)
         for variant in plan.scenarios
@@ -202,7 +212,14 @@ def run_torque_study(plan: SweepPlan, model: Model, workers: int = 1) -> SweepRe
         for period in plan.torque_periods
         for amplitude in plan.torque_amplitudes
     ]
-    outcomes = evaluate(run_torque_case, [(model, scenario) for scenario in grid], workers)
+    outcomes = evaluate_linear(
+        run_torque_case, model, [(scenario,) for scenario in singles + grid], workers
+    )
+    baselines = {
+        (single.period, single.amplitude): _baseline(run_torque_case, model, (single,), outcome)
+        for single, outcome in zip(singles, outcomes)
+    }
+    outcomes = outcomes[len(singles):]
 
     report = SweepReport(
         "torque", TORQUE_COLUMNS, ("scenario", "distance_m", "period_s", "torque_Nm")
@@ -252,24 +269,32 @@ WAVE_COLUMNS = (
 
 
 def run_wave_study(plan: SweepPlan, model: Model, workers: int = 1) -> SweepReport:
-    """Wave-forced dual runs over (distance, period, height) with baselines."""
-    baselines = {
-        (period, height): run_wave_case(
-            model, WaveCondition(height, period), distance=0.0, dual=False
-        )
+    """Wave-forced dual runs over (distance, period, height) with baselines.
+
+    Each distance and period, and the single flap at each period, is
+    integrated once at unit wave height and scaled to every height
+    (``evaluate_linear``).
+    """
+    singles = [
+        (WaveCondition(height, period), 0.0, False)
         for period in plan.wave_periods
         for height in plan.wave_heights
-    }
+    ]
     grid = [
-        (d, WaveCondition(height, period))
+        (WaveCondition(height, period), d, True)
         for d in plan.distances
         for period in plan.wave_periods
         for height in plan.wave_heights
     ]
-    outcomes = evaluate(run_wave_case, [(model, wave, d, True) for d, wave in grid], workers)
+    outcomes = evaluate_linear(run_wave_case, model, singles + grid, workers)
+    baselines = {
+        (single[0].period, single[0].height): _baseline(run_wave_case, model, single, outcome)
+        for single, outcome in zip(singles, outcomes)
+    }
+    outcomes = outcomes[len(singles):]
 
     report = SweepReport("wave", WAVE_COLUMNS, ("distance_m", "period_s", "height_m"))
-    for (d, wave), outcome in zip(grid, outcomes):
+    for (wave, d, _), outcome in zip(grid, outcomes):
         lam = 2.0 * math.pi / solve_dispersion(wave.period, model.environment)
         ratio = d / lam
         failed = isinstance(outcome, str)
@@ -323,8 +348,8 @@ def run_heading_study(plan: SweepPlan, model: Model, workers: int = 1) -> SweepR
     batch = list(waves)
     if 0.0 not in plan.headings:
         batch.append(WaveCondition(HEADING_HEIGHT, HEADING_PERIOD, 0.0))
-    outcomes = evaluate(
-        run_wave_case, [(model, wave, HEADING_DISTANCE, True) for wave in batch], workers
+    outcomes = evaluate_linear(
+        run_wave_case, model, [(wave, HEADING_DISTANCE, True) for wave in batch], workers
     )
 
     zero = next(o for wave, o in zip(batch, outcomes) if wave.heading_deg == 0.0)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -322,6 +323,48 @@ class TestPowerMatrix:
         theta = freq_domain_solve(system, forcing)
         expected = model.pto.damping * (forcing.omega * np.abs(theta)) ** 2 / 2.0
         np.testing.assert_allclose(result.power, expected, rtol=0.02)
+
+
+class TestUnitAmplitudeGrid:
+    """A grid integrates each period once at unit height and scales it."""
+
+    HS = np.array([1.0, 1.75, 3.25])
+    TE = np.array([8.5, 9.5])
+
+    @pytest.mark.parametrize("distance, dual", [(45.0, True), (0.0, False)])
+    def test_matches_per_cell_runs(self, fast_reference, distance, dual):
+        pm = compute_power_matrix(Design(fast_reference, distance, dual=dual), self.HS, self.TE)
+        assert pm.computed.all() and not pm.errors
+        for i, hs in enumerate(self.HS):
+            for j, te in enumerate(self.TE):
+                direct = run_wave_case(fast_reference, WaveCondition(hs, te), distance, dual)
+                np.testing.assert_allclose(pm.power_per_flap[i, j], direct.power, rtol=1e-12)
+                assert pm.steady[i, j] == direct.metrics.steady
+
+    def test_one_integration_per_period(self, fast_reference, monkeypatch):
+        calls = []
+        real = energy_mod.integrate
+
+        def counting(system, forcing, integration):
+            calls.append((round(forcing.period, 9), forcing.dof))
+            return real(system, forcing, integration)
+
+        monkeypatch.setattr(energy_mod, "integrate", counting)
+        occurrence = np.array([[0.1, 0.0], [0.2, 0.0], [0.1, 0.3]])
+        pm = compute_power_matrix(Design(fast_reference, 45.0), self.HS, self.TE, occurrence)
+        assert pm.computed.sum() == 4
+        assert sorted(calls) == [(8.5, 2), (9.5, 2)]
+
+    def test_scaled_overflow_runs_on_its_own(self, fast_reference):
+        # without PTO damping the power never overflows, so only the record's
+        # own squares tell that 1e153 m overflows where 1e152 m does not
+        model = replace(fast_reference, pto=PTOModel(0.0))
+        hs = np.array([1.0, 1.0e152, 1.0e153])
+        pm = compute_power_matrix(Design(model, 0.0, dual=False), hs, np.array([9.5]))
+        with pytest.raises(NumericalError) as raised:
+            run_wave_case(model, WaveCondition(1.0e153, 9.5), 0.0, False)
+        assert pm.computed[:2, 0].all() and not pm.computed[2, 0]
+        assert pm.errors == (f"cell hs=1e+153 te=9.5: NumericalError: {raised.value}",)
 
 
 class TestNonFiniteBackstop:

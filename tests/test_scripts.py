@@ -2,6 +2,8 @@ import csv
 import subprocess
 import sys
 
+import pytest
+
 
 def test_distance_aep_script(repo_root, tmp_path):
     # one JPD cell keeps the run to the baseline plus seven dual integrations
@@ -19,3 +21,39 @@ def test_distance_aep_script(repo_root, tmp_path):
     assert len(rows) == 8
     assert rows[0]["label"] == "single_doubled"
     assert "spread across distances" in proc.stdout
+
+
+STUDY_SCRIPTS = {
+    # script: (rows written, a line its summary prints)
+    "torque_study.py": (120, "right-only-left-fixed        10     7.5        0.000         1.000"),
+    "wave_study.py": (54, "d/lambda"),
+    "heading_study.py": (10, "loss"),
+}
+
+
+def run_script(repo_root, name, *args):
+    return subprocess.run(
+        [sys.executable, str(repo_root / "scripts" / name), *args],
+        capture_output=True, text=True, timeout=300,
+    )
+
+
+@pytest.mark.parametrize("name", sorted(STUDY_SCRIPTS))
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_study_script_rejects_bad_workers(repo_root, tmp_path, name, workers):
+    proc = run_script(repo_root, name, "--out", str(tmp_path), "--workers", workers)
+    assert proc.returncode == 1
+    assert "--workers must be >= 1" in proc.stderr
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("name", sorted(STUDY_SCRIPTS))
+def test_study_script_smoke(repo_root, tmp_path, name):
+    rows, line = STUDY_SCRIPTS[name]
+    proc = run_script(repo_root, name, "--out", str(tmp_path), "--workers", "1")
+    assert proc.returncode == 0, proc.stderr
+    study = name.split("_")[0]
+    assert f"{rows} rows (0 failed)" in proc.stdout
+    assert line in proc.stdout
+    with open(tmp_path / f"sweep_{study}.csv", newline="") as fh:
+        assert sum(1 for _ in fh) == 2 + rows

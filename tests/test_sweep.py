@@ -4,10 +4,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import oswec.energy as energy_mod
 import oswec.sweep as sweep_mod
 from oswec.dynamics import IntegrationConfig
-from oswec.errors import InvalidInputError
-from oswec.forcing import Scenario
+from oswec.energy import run_torque_case
+from oswec.errors import InvalidInputError, NumericalError
+from oswec.forcing import Scenario, TorqueScenario
 from oswec.hydro import wavelength_deep
 from oswec.sweep import (
     WAVE_COLUMNS,
@@ -126,6 +128,119 @@ class TestTorqueStudy:
         for key, value in row.items():
             if isinstance(value, float):
                 assert math.isfinite(value), key
+
+
+class TestUnitAmplitudeCollapse:
+    """Each grid key integrates once at unit amplitude; amplitudes scale it."""
+
+    PLAN = SweepPlan(
+        distances=(10.0, 45.0),
+        torque_periods=(8.5, 9.5),
+        torque_amplitudes=(0.6e6, 1.0e6, 1.2e6),
+        wave_periods=(8.5, 9.5),
+        wave_heights=(1.75, 3.25),
+        scenarios=(Scenario.IN_PHASE, Scenario.ARBITRARY_PHASE),
+    )
+
+    def test_torque_rows_match_per_cell_runs(self, fast_reference):
+        rows = run_torque_study(self.PLAN, fast_reference).rows
+        assert len(rows) == 2 * 2 * 2 * 3
+        for row in rows:
+            scenario = TorqueScenario(
+                Scenario(row["scenario"]), row["torque_Nm"], row["period_s"], row["distance_m"]
+            )
+            direct = run_torque_case(fast_reference, scenario)
+            single = run_torque_case(
+                fast_reference, TorqueScenario(Scenario.SINGLE, row["torque_Nm"], row["period_s"])
+            )
+            assert row["error"] == ""
+            assert row["steady"] == (direct.metrics.steady and single.metrics.steady)
+            for index, name in enumerate(("left", "right")):
+                for key, value in (
+                    ("rms_rad", direct.metrics.rms_rotation[index]),
+                    ("amplitude_rad", direct.metrics.amplitude[index]),
+                    ("phase_rad", direct.metrics.phase[index]),
+                    ("power_W", direct.power[index]),
+                ):
+                    assert row[f"{name}_{key}"] == pytest.approx(value, rel=1e-12, abs=0.0)
+            assert row["single_rms_rad"] == pytest.approx(
+                single.metrics.rms_rotation[0], rel=1e-12, abs=0.0
+            )
+            assert row["single_power_W"] == pytest.approx(single.power[0], rel=1e-12, abs=0.0)
+
+    def test_one_integration_per_key(self, fast_reference, monkeypatch):
+        calls = []
+        real = energy_mod.integrate
+
+        def counting(system, forcing, integration):
+            calls.append(forcing.dof)
+            return real(system, forcing, integration)
+
+        monkeypatch.setattr(energy_mod, "integrate", counting)
+        run_torque_study(self.PLAN, fast_reference)
+        # 2 single-flap periods + 2 scenarios x 2 distances x 2 periods
+        assert sorted(calls) == [1] * 2 + [2] * 8
+        calls.clear()
+        run_wave_study(self.PLAN, fast_reference)
+        # 2 single-flap periods + 2 distances x 2 periods
+        assert sorted(calls) == [1] * 2 + [2] * 4
+
+    UNSTABLE_PLAN = SweepPlan(
+        distances=(10.0,),
+        torque_periods=(38.0,),
+        torque_amplitudes=(0.6e6, 1.0e6),
+        scenarios=(Scenario.IN_PHASE,),
+    )
+
+    @staticmethod
+    def unstable_model(reference, max_periods):
+        # alpha=1, d=10 m, Te=38 s in-phase has negative modal damping
+        cfg = IntegrationConfig(steps_per_period=120, ramp_periods=6, measure_periods=6,
+                                max_periods=max_periods)
+        return replace(reference, integration=cfg,
+                       coefficients=replace(reference.coefficients, alpha=1.0))
+
+    @pytest.mark.parametrize("max_periods", [200, 86])
+    def test_unstable_rows_keep_their_own_errors(self, reference, max_periods):
+        # at unit torque this case overflows at step 10674, or within 86
+        # periods returns a finite record that is not steady; each amplitude's
+        # own run overflows at another step, and its row must name that one
+        model = self.unstable_model(reference, max_periods)
+        rows = run_torque_study(self.UNSTABLE_PLAN, model).rows
+        for row, step in zip(rows, (10285, 10271)):
+            scenario = TorqueScenario(Scenario.IN_PHASE, row["torque_Nm"], 38.0, 10.0)
+            with pytest.raises(NumericalError) as raised:
+                run_torque_case(model, scenario)
+            assert row["error"] == f"NumericalError: {raised.value}"
+            assert f"non-finite at step {step} " in row["error"]
+
+    def test_non_steady_key_runs_each_cell(self, reference, monkeypatch):
+        # within 40 periods the growing response stays finite but never
+        # steady, so no cell is scaled from the unit run
+        calls = []
+        real = energy_mod.integrate
+
+        def counting(system, forcing, integration):
+            record = real(system, forcing, integration)
+            calls.append((forcing.dof, record.steady))
+            return record
+
+        monkeypatch.setattr(energy_mod, "integrate", counting)
+        rows = run_torque_study(self.UNSTABLE_PLAN, self.unstable_model(reference, 40)).rows
+        assert calls == [(1, True)] + [(2, False)] * 3
+        assert [(row["error"], row["steady"]) for row in rows] == [("", False)] * 2
+
+    def test_failed_baseline_raises(self, fast_reference, monkeypatch):
+        real = sweep_mod.run_torque_case
+
+        def failing_single(model, scenario):
+            if scenario.variant is Scenario.SINGLE:
+                raise NumericalError("single flap overflowed")
+            return real(model, scenario)
+
+        monkeypatch.setattr(sweep_mod, "run_torque_case", failing_single)
+        with pytest.raises(NumericalError, match="single flap overflowed"):
+            run_torque_study(self.PLAN, fast_reference)
 
 
 class TestWaveStudy:
