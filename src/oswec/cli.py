@@ -64,8 +64,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--workers",
         type=int,
-        default=os.cpu_count() or 1,
-        help="parallel workers for sweep/aep cells, at least 1 (default: machine parallelism)",
+        default=1,
+        help="accepted for compatibility and ignored: every grid runs in this process "
+        "(at least 1; default: 1)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -240,11 +241,11 @@ def _cmd_sweep(args, run_config: RunConfig, out_dir: str) -> int:
 
     model = run_config.model
     if args.study == "torque":
-        report = run_torque_study(plan, model, args.workers)
+        report = run_torque_study(plan, model)
     elif args.study == "wave":
-        report = run_wave_study(plan, model, args.workers)
+        report = run_wave_study(plan, model)
     else:
-        report = run_heading_study(plan, model, args.workers)
+        report = run_heading_study(plan, model)
     report.config = {"config_file": os.path.abspath(args.config)}
 
     csv_path = os.path.join(out_dir, f"sweep_{args.study}.csv")
@@ -257,19 +258,14 @@ def _cmd_sweep(args, run_config: RunConfig, out_dir: str) -> int:
 
 
 def _cmd_aep(args, run_config: RunConfig, out_dir: str) -> int:
-    jpd_path = args.jpd
-    if not os.path.exists(jpd_path):
-        raise InvalidInputError(f"JPD file not found: {jpd_path}")
-    jpd = load_jpd(jpd_path)
+    jpd = load_jpd(args.jpd)
     # the plan checks the distances before any case runs
     plan = SweepPlan() if args.distances is None else SweepPlan(distances=args.distances)
     model = run_config.model
 
     rows = []
     single_design = Design(model, distance=0.0, heading_deg=args.heading, dual=False)
-    single_pm = compute_power_matrix(
-        single_design, jpd.hs_bins, jpd.te_bins, jpd.occurrence, args.workers
-    )
+    single_pm = compute_power_matrix(single_design, jpd.hs_bins, jpd.te_bins, jpd.occurrence)
     single_report = annual_energy(single_pm, jpd)
     _write_power_matrix(single_pm, jpd, out_dir, "single")
     rows.append(
@@ -281,7 +277,7 @@ def _cmd_aep(args, run_config: RunConfig, out_dir: str) -> int:
     )
     for d in plan.distances:
         design = Design(model, distance=float(d), heading_deg=args.heading, dual=True)
-        pm = compute_power_matrix(design, jpd.hs_bins, jpd.te_bins, jpd.occurrence, args.workers)
+        pm = compute_power_matrix(design, jpd.hs_bins, jpd.te_bins, jpd.occurrence)
         report = annual_energy(pm, jpd)
         _write_power_matrix(pm, jpd, out_dir, f"d{format(float(d), 'g')}")
         rows.append(
@@ -308,7 +304,7 @@ def _cmd_aep(args, run_config: RunConfig, out_dir: str) -> int:
     with open(table_json, "w", encoding="utf-8") as fh:
         json.dump(
             {
-                "jpd_file": os.path.abspath(jpd_path),
+                "jpd_file": os.path.abspath(args.jpd),
                 "heading_deg": args.heading,
                 "config": single_pm.config,
                 "rows": rows,

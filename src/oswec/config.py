@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 
 from .dynamics import IntegrationConfig
 from .energy import Model, PTOModel
-from .errors import InvalidInputError
+from .errors import InvalidInputError, open_input
 from .forcing import ExcitationTransfer, load_transfer_table
 from .hydro import (
     AnalyticCoefficientSource,
@@ -89,10 +89,8 @@ def load_run_config(path) -> RunConfig:
     relative to the configuration file's directory and must exist.
     """
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open_input(path, "config") as fh:
             data = json.load(fh)
-    except FileNotFoundError:
-        raise InvalidInputError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise InvalidInputError(f"config file {path} is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
@@ -137,11 +135,9 @@ def _parse_run_config(data: dict, base_dir: str) -> RunConfig:
             eps=float(a.get("eps", 0.1)),
         )
     else:
-        table_path = os.path.join(base_dir, coeff_s["table_csv"])
-        if not os.path.exists(table_path):
-            raise InvalidInputError(f"coefficient table file not found: {table_path}")
         coefficients = TableCoefficientSource(
-            load_coefficient_table(table_path), label=coeff_s["table_csv"]
+            load_coefficient_table(os.path.join(base_dir, coeff_s["table_csv"])),
+            label=coeff_s["table_csv"],
         )
 
     xfer_s = _section(data, "transfer")
@@ -155,10 +151,7 @@ def _parse_run_config(data: dict, base_dir: str) -> RunConfig:
     if xfer_sources[0] == "gamma_Nm_per_m":
         transfer = ExcitationTransfer.constant(float(xfer_s["gamma_Nm_per_m"]), eta)
     else:
-        xfer_path = os.path.join(base_dir, xfer_s["table_csv"])
-        if not os.path.exists(xfer_path):
-            raise InvalidInputError(f"transfer table file not found: {xfer_path}")
-        transfer = load_transfer_table(xfer_path, eta)
+        transfer = load_transfer_table(os.path.join(base_dir, xfer_s["table_csv"]), eta)
 
     pto_s = _section(data, "pto")
     pto = PTOModel(

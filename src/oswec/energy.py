@@ -9,9 +9,7 @@ sea states and the hours in a year gives annual energy production.
 from __future__ import annotations
 
 import csv
-import functools
 import math
-import multiprocessing
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -26,7 +24,7 @@ from .dynamics import (
     integrate,
     response_metrics,
 )
-from .errors import InvalidInputError, NumericalError
+from .errors import InvalidInputError, NumericalError, open_input
 from .forcing import (
     ExcitationTransfer,
     Scenario,
@@ -223,7 +221,7 @@ JPD_HEADER_CELL = r"hs_m\te_s"
 
 def load_jpd(path) -> JPD:
     """Load a JPD CSV: header ``hs_m\\te_s,<te centers>``, one row per Hs center."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open_input(path, "JPD") as fh:
         rows = [row for row in csv.reader(fh) if row and any(c.strip() for c in row)]
     if not rows:
         raise InvalidInputError(f"{path}: empty JPD file")
@@ -304,20 +302,6 @@ def _quarantined(fn, *args):
         return f"{type(exc).__name__}: {exc}"
 
 
-def evaluate(fn, tasks, workers: int = 1) -> list:
-    """``fn(*task)`` for each task, in task order, over ``workers`` processes.
-
-    A task that raises is quarantined: its slot holds
-    ``"<ExceptionType>: <message>"`` and the other tasks still run. Tasks
-    are independent, so the results do not depend on the worker count.
-    """
-    tasks = list(tasks)
-    if workers > 1 and len(tasks) > 1:
-        with multiprocessing.Pool(workers) as pool:
-            return pool.starmap(functools.partial(_quarantined, fn), tasks)
-    return [_quarantined(fn, *task) for task in tasks]
-
-
 @dataclass(frozen=True)
 class CellResult:
     """Metrics and mean PTO power [W] per flap of one grid cell, without a record."""
@@ -368,26 +352,26 @@ def _unit_amplitude(condition: WaveCondition | TorqueScenario):
     return replace(condition, amplitude=1.0), condition.amplitude
 
 
-def evaluate_linear(fn, model: Model, cases, workers: int = 1) -> list:
-    """``fn(model, *case)`` as a CellResult, or quarantined as ``evaluate``
-    does, for each case, in case order.
+def evaluate_linear(fn, model: Model, cases) -> list:
+    """``fn(model, *case)`` as a CellResult, or as the quarantine string
+    ``"<ExceptionType>: <message>"`` when it raises, for each case, in case
+    order.
 
     A case's first item is a WaveCondition or a TorqueScenario. The model is
     linear in the forcing, so ``fn`` runs once per distinct case at unit
     amplitude, and each case scales that result by its wave height or
-    torque amplitude (``CellResult.scaled``). A case runs on its own instead,
-    in a second ``evaluate``, when its unit run failed or is not steady, or
-    when a scaled value or state would not be finite: an unstable system
-    overflows at a step that depends on the amplitude, so only the case's
-    own run gives its error and flags.
+    torque amplitude (``CellResult.scaled``). A case runs on its own instead
+    when its unit run failed or is not steady, or when a scaled value or
+    state would not be finite: an unstable system overflows at a step that
+    depends on the amplitude, so only the case's own run gives its error
+    and flags.
     """
     split = []
     for condition, *rest in cases:
         unit, factor = _unit_amplitude(condition)
         split.append(((unit, *rest), factor))
     keys = list(dict.fromkeys(key for key, _ in split))
-    units = evaluate(functools.partial(_unit_cell, fn), [(model, *key) for key in keys], workers)
-    by_key = dict(zip(keys, units))
+    by_key = {key: _quarantined(_unit_cell, fn, model, *key) for key in keys}
 
     results = []
     for key, factor in split:
@@ -398,10 +382,9 @@ def evaluate_linear(fn, model: Model, cases, workers: int = 1) -> list:
             if unit.metrics.steady and factor <= limit:
                 scaled = unit.scaled(factor)
         results.append(scaled)
-    direct = [index for index, result in enumerate(results) if result is None]
-    tasks = [(model, *cases[index]) for index in direct]
-    for index, outcome in zip(direct, evaluate(functools.partial(_reduced, fn), tasks, workers)):
-        results[index] = outcome
+    for index, result in enumerate(results):
+        if result is None:
+            results[index] = _quarantined(_reduced, fn, model, *cases[index])
     return results
 
 
@@ -410,15 +393,12 @@ def compute_power_matrix(
     hs_bins: np.ndarray,
     te_bins: np.ndarray,
     occurrence: np.ndarray | None = None,
-    workers: int = 1,
 ) -> PowerMatrix:
     """Evaluate the mean-power matrix: each period is integrated once, at
     unit wave height, and every Hs row scales it (``evaluate_linear``).
 
     When ``occurrence`` is given, cells with zero occurrence are skipped
     (partial power matrix); their power stays 0 and ``computed`` is False.
-    Cells are independent; the reduction is ordered by cell index so the
-    result is identical for any worker count.
     """
     hs_bins = np.atleast_1d(np.asarray(hs_bins, dtype=float))
     te_bins = np.atleast_1d(np.asarray(te_bins, dtype=float))
@@ -449,7 +429,7 @@ def compute_power_matrix(
         )
         for i, j in cells
     ]
-    outcomes = evaluate_linear(run_wave_case, design.model, cases, workers)
+    outcomes = evaluate_linear(run_wave_case, design.model, cases)
     for (i, j), outcome in zip(cells, outcomes):
         if isinstance(outcome, str):
             failures.append(f"cell hs={hs_bins[i]:g} te={te_bins[j]:g}: {outcome}")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import FlapForcing, ForcingSpec
-from .errors import InvalidInputError
+from .errors import InvalidInputError, open_input
 from .hydro import Environment, solve_dispersion
 
 LEFT, RIGHT = 0, 1
@@ -45,10 +45,14 @@ class TorqueScenario:
     distance: float = 0.0  # m, unused for SINGLE
 
     def __post_init__(self):
-        if not self.amplitude > 0.0:
-            raise InvalidInputError(f"torque amplitude must be positive, got {self.amplitude}")
-        if not self.period > 0.0:
-            raise InvalidInputError(f"period must be positive, got {self.period}")
+        if not (math.isfinite(self.amplitude) and self.amplitude > 0.0):
+            raise InvalidInputError(
+                f"torque amplitude must be positive and finite, got {self.amplitude}"
+            )
+        if not (math.isfinite(self.period) and self.period > 0.0):
+            raise InvalidInputError(f"period must be positive and finite, got {self.period}")
+        if not math.isfinite(self.distance):
+            raise InvalidInputError(f"distance must be finite, got {self.distance}")
         if self.variant is Scenario.ARBITRARY_PHASE and not self.distance > 0.0:
             raise InvalidInputError("arbitrary-phase scenario needs a positive distance")
 
@@ -93,10 +97,10 @@ class WaveCondition:
     heading_deg: float = 0.0
 
     def __post_init__(self):
-        if not self.height > 0.0:
-            raise InvalidInputError(f"wave height must be positive, got {self.height}")
-        if not self.period > 0.0:
-            raise InvalidInputError(f"wave period must be positive, got {self.period}")
+        if not (math.isfinite(self.height) and self.height > 0.0):
+            raise InvalidInputError(f"wave height must be positive and finite, got {self.height}")
+        if not (math.isfinite(self.period) and self.period > 0.0):
+            raise InvalidInputError(f"wave period must be positive and finite, got {self.period}")
         if not 0.0 <= self.heading_deg < 90.0:
             raise InvalidInputError(
                 f"heading must be in [0, 90) degrees, got {self.heading_deg}"
@@ -168,7 +172,7 @@ def load_transfer_table(path, eta: float = 0.1) -> ExcitationTransfer:
     expected = ["period_s", "gamma_Nm_per_m"]
     periods: list[float] = []
     gammas: list[float] = []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open_input(path, "transfer table") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -205,8 +209,8 @@ def build_wave_forcing(
     -k * d * cos(beta) because the wave arrives later at the back flap and
     the effective separation along propagation is d * cos(beta).
     """
-    if distance < 0.0:
-        raise InvalidInputError(f"distance must be >= 0, got {distance}")
+    if not (math.isfinite(distance) and distance >= 0.0):
+        raise InvalidInputError(f"distance must be finite and >= 0, got {distance}")
     omega = 2.0 * math.pi / wave.period
     k = solve_dispersion(wave.period, env)
     lam = 2.0 * math.pi / k

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InvalidInputError, NumericalError
+from .errors import InvalidInputError, NumericalError, open_input
 
 DEEP = "deep"
 
@@ -238,7 +238,7 @@ def load_coefficient_table(path) -> CoefficientTable:
     """
     expected = ["period_s", "distance_m", "Ia", "C", "Ia_lr", "C_lr"]
     cells: dict[tuple[float, float], tuple[float, float, float, float]] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open_input(path, "coefficient table") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -302,8 +302,8 @@ def analytic_coupling(
     """
     if not 0.0 <= alpha <= 1.0:
         raise InvalidInputError(f"coupling gain alpha must be in [0, 1], got {alpha}")
-    if not distance > 0.0:
-        raise InvalidInputError(f"distance must be positive, got {distance}")
+    if not (math.isfinite(distance) and distance > 0.0):
+        raise InvalidInputError(f"distance must be positive and finite, got {distance}")
     if not wavenumber > 0.0:
         raise InvalidInputError(f"wavenumber must be positive, got {wavenumber}")
     kd = wavenumber * distance

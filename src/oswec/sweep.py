@@ -2,7 +2,7 @@
 and heading sweeps, each reported against a single-flap baseline.
 
 Rows are emitted in lexicographic grid order and every run is deterministic
-for a given plan and model, independent of the worker count.
+for a given plan and model.
 """
 
 from __future__ import annotations
@@ -63,8 +63,8 @@ class SweepPlan:
             values = getattr(self, name)
             if len(values) == 0:
                 raise InvalidInputError(f"sweep plan axis {name} is empty")
-            if name != "scenarios" and any(v <= 0.0 for v in values):
-                raise InvalidInputError(f"sweep plan axis {name} must be positive")
+            if name != "scenarios" and not all(math.isfinite(v) and v > 0.0 for v in values):
+                raise InvalidInputError(f"sweep plan axis {name} must be positive and finite")
         if len(self.headings) == 0:
             raise InvalidInputError("sweep plan axis headings is empty")
         if any(not 0.0 <= b < 90.0 for b in self.headings):
@@ -159,9 +159,9 @@ def _pair_fields(names: tuple[str, str], result: CellResult, base: CellResult | 
 
 
 def _baseline(fn, model: Model, case: tuple, outcome):
-    """A single-flap baseline's outcome. A failed baseline fails the whole
-    study, so it runs again here, unquarantined, to raise its own exception
-    (a NumericalError exits 2)."""
+    """A baseline's outcome. A failed baseline fails the whole study, so it
+    runs again here, unquarantined, to raise its own exception (a
+    NumericalError exits 2)."""
     if isinstance(outcome, str):
         result = fn(model, *case)
         return CellResult(result.metrics, result.power)
@@ -192,7 +192,7 @@ TORQUE_COLUMNS = (
 )
 
 
-def run_torque_study(plan: SweepPlan, model: Model, workers: int = 1) -> SweepReport:
+def run_torque_study(plan: SweepPlan, model: Model) -> SweepReport:
     """Grid of torque scenarios compared against the single-flap baseline.
 
     Each scenario, distance and period, and the single flap at each period,
@@ -212,9 +212,7 @@ def run_torque_study(plan: SweepPlan, model: Model, workers: int = 1) -> SweepRe
         for period in plan.torque_periods
         for amplitude in plan.torque_amplitudes
     ]
-    outcomes = evaluate_linear(
-        run_torque_case, model, [(scenario,) for scenario in singles + grid], workers
-    )
+    outcomes = evaluate_linear(run_torque_case, model, [(s,) for s in singles + grid])
     baselines = {
         (single.period, single.amplitude): _baseline(run_torque_case, model, (single,), outcome)
         for single, outcome in zip(singles, outcomes)
@@ -268,7 +266,7 @@ WAVE_COLUMNS = (
 )
 
 
-def run_wave_study(plan: SweepPlan, model: Model, workers: int = 1) -> SweepReport:
+def run_wave_study(plan: SweepPlan, model: Model) -> SweepReport:
     """Wave-forced dual runs over (distance, period, height) with baselines.
 
     Each distance and period, and the single flap at each period, is
@@ -286,7 +284,7 @@ def run_wave_study(plan: SweepPlan, model: Model, workers: int = 1) -> SweepRepo
         for period in plan.wave_periods
         for height in plan.wave_heights
     ]
-    outcomes = evaluate_linear(run_wave_case, model, singles + grid, workers)
+    outcomes = evaluate_linear(run_wave_case, model, singles + grid)
     baselines = {
         (single[0].period, single[0].height): _baseline(run_wave_case, model, single, outcome)
         for single, outcome in zip(singles, outcomes)
@@ -335,7 +333,7 @@ HEADING_COLUMNS = (
 )
 
 
-def run_heading_study(plan: SweepPlan, model: Model, workers: int = 1) -> SweepReport:
+def run_heading_study(plan: SweepPlan, model: Model) -> SweepReport:
     """Heading sweep over ``plan.headings`` at HEADING_DISTANCE under the
     HEADING_HEIGHT, HEADING_PERIOD wave; the plan's other axes are unused.
 
@@ -348,13 +346,13 @@ def run_heading_study(plan: SweepPlan, model: Model, workers: int = 1) -> SweepR
     batch = list(waves)
     if 0.0 not in plan.headings:
         batch.append(WaveCondition(HEADING_HEIGHT, HEADING_PERIOD, 0.0))
-    outcomes = evaluate_linear(
-        run_wave_case, model, [(wave, HEADING_DISTANCE, True) for wave in batch], workers
+    cases = [(wave, HEADING_DISTANCE, True) for wave in batch]
+    outcomes = evaluate_linear(run_wave_case, model, cases)
+    zero = next(
+        _baseline(run_wave_case, model, case, outcome)
+        for case, outcome in zip(cases, outcomes)
+        if case[0].heading_deg == 0.0
     )
-
-    zero = next(o for wave, o in zip(batch, outcomes) if wave.heading_deg == 0.0)
-    if isinstance(zero, str):
-        raise InvalidInputError(f"zero-heading baseline failed: {zero}")
 
     report = SweepReport("heading", HEADING_COLUMNS, ("heading_deg",))
     for wave, outcome in zip(waves, outcomes):

@@ -241,14 +241,12 @@ def test_criterion_06_decoupling_identity(model, sample_jpd):
         sample_jpd.hs_bins,
         sample_jpd.te_bins,
         sample_jpd.occurrence,
-        workers=WORKERS,
     )
     dual = compute_power_matrix(
         Design(decoupled, 45.0, dual=True),
         sample_jpd.hs_bins,
         sample_jpd.te_bins,
         sample_jpd.occurrence,
-        workers=WORKERS,
     )
     aep_single = annual_energy(single, sample_jpd).total_gwh
     aep_dual = annual_energy(dual, sample_jpd).total_gwh
@@ -265,7 +263,7 @@ def test_criterion_06_decoupling_identity(model, sample_jpd):
 def test_criterion_07_distance_insensitivity(model, sample_jpd):
     """Reference configuration, sample JPD: AEP over the seven studied
     distances spreads by less than 10 % of the mean, in under 10 minutes
-    with parallel cells at default integration settings."""
+    at default integration settings."""
     start = time.perf_counter()
     totals = []
     for d in SEVEN_DISTANCES:
@@ -274,7 +272,6 @@ def test_criterion_07_distance_insensitivity(model, sample_jpd):
             sample_jpd.hs_bins,
             sample_jpd.te_bins,
             sample_jpd.occurrence,
-            workers=WORKERS,
         )
         assert not pm.errors
         totals.append(annual_energy(pm, sample_jpd).total_gwh)
@@ -296,7 +293,7 @@ def test_criterion_08_heading_loss(model):
     cos^2 heading model puts it at 25 % +/- 1 % for 30 degrees and
     50 % +/- 1 % for 45 degrees."""
     plan = SweepPlan(headings=tuple(float(b) for b in range(0, 50, 5)))
-    rows = run_heading_study(plan, model, workers=WORKERS).rows
+    rows = run_heading_study(plan, model).rows
     losses = {row["heading_deg"]: row["power_loss_fraction"] for row in rows}
     ordered = [losses[float(b)] for b in range(0, 50, 5)]
     monotone = all(b >= a - 1e-9 for a, b in zip(ordered, ordered[1:]))
@@ -316,7 +313,7 @@ def test_criterion_09_linearity(model):
     4.0 +/- 1 %."""
     hs = np.array([1.25, 2.5])
     te = np.array([8.0, 9.5, 11.0])
-    pm = compute_power_matrix(Design(model, 45.0, dual=True), hs, te, workers=WORKERS)
+    pm = compute_power_matrix(Design(model, 45.0, dual=True), hs, te)
     ratios = pm.power_total[1] / pm.power_total[0]
     worst = float(np.max(np.abs(ratios - 4.0)))
     ok = worst < 0.04  # 1 % of 4.0

@@ -261,6 +261,23 @@ class TestAEPCommand:
                          + (out / "power_matrix_d10.csv").read_bytes())
         assert blobs[0] == blobs[1]
 
+    def test_workers_start_no_process_pool(self, fast_config, tmp_path, monkeypatch):
+        def no_pool(*_, **__):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr("multiprocessing.Pool", no_pool)
+        jpd = self._write_jpd(tmp_path)
+        outputs = []
+        for workers in ("2", "1"):
+            out = tmp_path / f"w{workers}"
+            assert main(
+                [str(fast_config), "--out", str(out), "--workers", workers, "aep",
+                 "--jpd", str(jpd), "--distances", "10,45"]
+            ) == 0
+            outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert len(outputs[0]) == 8
+        assert outputs[0] == outputs[1]
+
 
 class TestVerifyCommand:
     def test_verify_passes(self, fast_config, capsys):
@@ -291,9 +308,25 @@ class TestUsageErrors:
              ("wave_heights", "1.75")),
             (["sweep", "--study", "heading", "--headings", "0,15,0"], ("headings", "0")),
             (["aep", "--jpd", "JPD", "--distances", "10,10"], ("distances", "10")),
+            (["aep", "--jpd", "JPD", "--distances", "10,inf"], ("distances", "finite")),
+            (["sweep", "--study", "wave", "--distances", "inf"], ("distances", "finite")),
+            (["sweep", "--study", "wave", "--heights", "inf"], ("wave_heights", "finite")),
+            (["sweep", "--study", "torque", "--amplitudes", "inf"],
+             ("torque_amplitudes", "finite")),
+            (["simulate", "--scenario", "in-phase", "--d", "inf", "--Te", "8.5", "--T0", "1e6"],
+             ("distance", "inf")),
+            (["simulate", "--wave", "--H", "1.75", "--Te", "8.5", "--d", "inf"],
+             ("distance", "inf")),
+            (["simulate", "--wave", "--H", "inf", "--Te", "8.5", "--d", "45"],
+             ("wave height", "inf")),
+            (["simulate", "--scenario", "single", "--Te", "8.5", "--T0", "inf"],
+             ("torque amplitude", "inf")),
         ],
         ids=["workers-0", "workers-negative", "sweep-distances", "sweep-periods",
-             "sweep-amplitudes", "sweep-heights", "sweep-headings", "aep-distances"],
+             "sweep-amplitudes", "sweep-heights", "sweep-headings", "aep-distances",
+             "aep-distances-inf", "sweep-distances-inf", "sweep-heights-inf",
+             "sweep-amplitudes-inf", "simulate-d-inf", "simulate-wave-d-inf",
+             "simulate-H-inf", "simulate-T0-inf"],
     )
     def test_bad_input_exits_1_before_any_case(
         self, fast_config, data_dir, monkeypatch, capsys, args, named
@@ -310,6 +343,19 @@ class TestUsageErrors:
         assert all(word in err for word in named), err
         out = out_dir(fast_config)
         assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("which", ["config", "jpd", "non-utf8-jpd"])
+    def test_unreadable_input_exits_1(self, fast_config, tmp_path, capsys, which):
+        config, jpd = str(fast_config), str(tmp_path)
+        if which == "config":
+            config = str(tmp_path)
+        elif which == "non-utf8-jpd":
+            jpd = str(tmp_path / "latin1.csv")
+            pathlib.Path(jpd).write_bytes(b"hs_m\\te_s,9.5\n1.25,0.1 \xb5\n")
+        assert main([config, "aep", "--jpd", jpd, "--distances", "45"]) == 1
+        err = capsys.readouterr().err
+        assert "configuration error: cannot read" in err
+        assert (config if which == "config" else jpd) in err
 
     def test_missing_subcommand_exits_1(self, fast_config):
         assert main([str(fast_config)]) == 1

@@ -292,13 +292,6 @@ class TestPowerMatrix:
         assert not pm.computed[0, 1]
         assert len(pm.errors) == 1 and "boom" in pm.errors[0]
 
-    def test_workers_give_identical_results(self, fast_reference):
-        hs = np.array([1.75])
-        te = np.array([8.5, 9.5, 10.5])
-        serial = compute_power_matrix(Design(fast_reference, 45.0), hs, te, workers=1)
-        parallel = compute_power_matrix(Design(fast_reference, 45.0), hs, te, workers=2)
-        np.testing.assert_array_equal(serial.power_total, parallel.power_total)
-
     def test_writers(self, fast_reference, tmp_path):
         hs = np.array([1.75])
         te = np.array([8.5])

@@ -344,6 +344,18 @@ class TestHeadingStudy:
         assert len(losses) == 10
         assert all(b >= a - 1e-9 for a, b in zip(losses, losses[1:]))
 
+    def test_failed_baseline_raises(self, fast_reference, monkeypatch):
+        real = sweep_mod.run_wave_case
+
+        def failing_zero(model, wave, distance, dual):
+            if wave.heading_deg == 0.0:
+                raise NumericalError("zero heading overflowed")
+            return real(model, wave, distance, dual)
+
+        monkeypatch.setattr(sweep_mod, "run_wave_case", failing_zero)
+        with pytest.raises(NumericalError, match="zero heading overflowed"):
+            run_heading_study(SweepPlan(headings=(30.0,)), fast_reference)
+
     def test_baseline_without_zero_heading_row(self, fast_reference):
         # the zero-heading reference is computed even when the grid skips it
         plan = SweepPlan(headings=(30.0, 45.0))
@@ -403,8 +415,8 @@ class TestReports:
         )
         for study in (run_wave_study, run_torque_study):
             paths = []
-            for tag, workers in (("a", 1), ("b", 1), ("c", 2)):
-                report = study(plan, fast_reference, workers=workers)
+            for tag in ("a", "b", "c"):
+                report = study(plan, fast_reference)
                 path = tmp_path / f"{report.study}_{tag}.csv"
                 report.to_csv(path)
                 paths.append(path.read_bytes())
