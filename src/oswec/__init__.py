@@ -4,7 +4,6 @@ from .config import (
     RunConfig,
     load_run_config,
     reference_model,
-    reference_run_config,
     with_coupling_disabled,
 )
 from .dynamics import (

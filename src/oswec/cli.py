@@ -110,9 +110,9 @@ def main(argv=None) -> int:
         if args.workers < 1:
             raise InvalidInputError(f"--workers must be >= 1, got {args.workers}")
         run_config = load_run_config(args.config)
+        # each command creates out_dir just before its first write, so a run
+        # that stops on bad input leaves nothing behind
         out_dir = args.out or run_config.output_dir
-        if args.command != "verify":
-            os.makedirs(out_dir, exist_ok=True)
         if args.command == "simulate":
             return _cmd_simulate(args, run_config, out_dir)
         if args.command == "sweep":
@@ -179,6 +179,7 @@ def _cmd_simulate(args, run_config: RunConfig, out_dir: str) -> int:
         },
         "total_power_W": result.total_power,
     }
+    os.makedirs(out_dir, exist_ok=True)
     metrics_path = os.path.join(out_dir, "simulate_metrics.json")
     with open(metrics_path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
@@ -248,6 +249,7 @@ def _cmd_sweep(args, run_config: RunConfig, out_dir: str) -> int:
         report = run_heading_study(plan, model)
     report.config = {"config_file": os.path.abspath(args.config)}
 
+    os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, f"sweep_{args.study}.csv")
     json_path = os.path.join(out_dir, f"sweep_{args.study}.json")
     report.to_csv(csv_path)
@@ -267,6 +269,7 @@ def _cmd_aep(args, run_config: RunConfig, out_dir: str) -> int:
     single_design = Design(model, distance=0.0, heading_deg=args.heading, dual=False)
     single_pm = compute_power_matrix(single_design, jpd.hs_bins, jpd.te_bins, jpd.occurrence)
     single_report = annual_energy(single_pm, jpd)
+    os.makedirs(out_dir, exist_ok=True)
     _write_power_matrix(single_pm, jpd, out_dir, "single")
     rows.append(
         {

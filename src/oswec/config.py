@@ -65,10 +65,6 @@ def reference_model(
     )
 
 
-def reference_run_config(output_dir: str = "out") -> RunConfig:
-    return RunConfig(reference_model(), output_dir)
-
-
 def _require(section: dict, key: str, context: str):
     if key not in section:
         raise InvalidInputError(f"config {context}: missing key {key!r}")

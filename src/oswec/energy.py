@@ -97,8 +97,10 @@ class Design:
     dual: bool = True
 
     def __post_init__(self):
-        if self.dual and not self.distance > 0.0:
-            raise InvalidInputError(f"dual designs need a positive distance, got {self.distance}")
+        if self.dual and not (math.isfinite(self.distance) and self.distance > 0.0):
+            raise InvalidInputError(
+                f"dual designs need a positive, finite distance, got {self.distance}"
+            )
 
     def describe(self) -> dict:
         return {
@@ -114,15 +116,31 @@ class Design:
 
 @dataclass(frozen=True)
 class CaseResult:
-    """Record, metrics, and mean PTO power [W] per flap for one simulated case."""
+    """Metrics and mean PTO power [W] per flap for one simulated case, and
+    the record they were reduced from. Grid cells (``evaluate_linear``)
+    carry no record: ``record`` is None."""
 
-    record: ResponseRecord
+    record: ResponseRecord | None
     metrics: ResponseMetrics
     power: np.ndarray  # (n,) W
 
     @property
     def total_power(self) -> float:
         return float(np.sum(self.power))
+
+    def scaled(self, factor: float) -> "CaseResult | None":
+        """This case, without its record, with its forcing amplitude times
+        ``factor``: RMS and amplitude scale by it and power by its square,
+        while phase, ``steady`` and ``cycles_used`` stay. None when a value
+        overflows."""
+        m = self.metrics
+        with np.errstate(over="ignore"):
+            rms = m.rms_rotation * factor
+            amplitude = m.amplitude * factor
+            power = self.power * (factor * factor)
+        if not all(np.isfinite(v).all() for v in (rms, amplitude, power)):
+            return None
+        return CaseResult(None, replace(m, rms_rotation=rms, amplitude=amplitude), power)
 
 
 def mean_power(record: ResponseRecord, pto: PTOModel) -> np.ndarray:
@@ -291,100 +309,70 @@ class PowerMatrix:
     power_total: np.ndarray  # (nH, nT) W
     steady: np.ndarray  # (nH, nT) bool
     computed: np.ndarray  # (nH, nT) bool, False for skipped cells
-    errors: tuple[str, ...]  # "cell hs=.. te=..: message" per quarantined cell
+    errors: tuple[str, ...]  # "cell hs=.. te=..: <failure_text>" per failed cell
     config: dict
 
 
-def _quarantined(fn, *args):
+def failure_text(exc: Exception) -> str:
+    """How a grid reports a failed case: ``"<ExceptionType>: <message>"``."""
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _attempt(fn, *args):
+    """``fn(*args)``, or the exception it raised, stripped of its traceback
+    so that a kept failure holds no frame of the run."""
     try:
         return fn(*args)
     except Exception as exc:  # noqa: BLE001 - one failed case must not kill the grid
-        return f"{type(exc).__name__}: {exc}"
-
-
-@dataclass(frozen=True)
-class CellResult:
-    """Metrics and mean PTO power [W] per flap of one grid cell, without a record."""
-
-    metrics: ResponseMetrics
-    power: np.ndarray  # (n,) W
-
-    @property
-    def total_power(self) -> float:
-        return float(np.sum(self.power))
-
-    def scaled(self, factor: float) -> "CellResult | None":
-        """This cell with its forcing amplitude times ``factor``: RMS and
-        amplitude scale by it and power by its square, while phase,
-        ``steady`` and ``cycles_used`` stay. None when a value overflows."""
-        m = self.metrics
-        with np.errstate(over="ignore"):
-            rms = m.rms_rotation * factor
-            amplitude = m.amplitude * factor
-            power = self.power * (factor * factor)
-        if not all(np.isfinite(v).all() for v in (rms, amplitude, power)):
-            return None
-        return CellResult(replace(m, rms_rotation=rms, amplitude=amplitude), power)
-
-
-def _reduced(fn, *task) -> CellResult:
-    """``fn(*task)`` reduced to its metrics and power; the record is dropped."""
-    result = fn(*task)
-    return CellResult(result.metrics, result.power)
-
-
-def _unit_cell(fn, *task) -> tuple[CellResult, float]:
-    """``fn(*task)`` reduced, and the largest factor its forcing may be
-    scaled by while every squared state of the record, and any sum of
-    those squares over the record, stays well inside the float range."""
-    result = fn(*task)
-    record = result.record
-    peak = float(max(np.max(np.abs(record.rotation)), np.max(np.abs(record.velocity))))
-    room = math.sqrt(np.finfo(float).max / (4.0 * record.time.size))
-    return CellResult(result.metrics, result.power), room / peak if peak > 0.0 else math.inf
-
-
-def _unit_amplitude(condition: WaveCondition | TorqueScenario):
-    """``condition`` at unit forcing (1 m wave height or 1 N m torque), and
-    the factor that scales that forcing back to ``condition``'s."""
-    if isinstance(condition, WaveCondition):
-        return replace(condition, height=1.0), condition.height
-    return replace(condition, amplitude=1.0), condition.amplitude
+        return exc.with_traceback(None)
 
 
 def evaluate_linear(fn, model: Model, cases) -> list:
-    """``fn(model, *case)`` as a CellResult, or as the quarantine string
-    ``"<ExceptionType>: <message>"`` when it raises, for each case, in case
-    order.
+    """``fn(model, *case)`` for each case, in case order: a CaseResult
+    without a record, or the exception the case raised.
 
     A case's first item is a WaveCondition or a TorqueScenario. The model is
-    linear in the forcing, so ``fn`` runs once per distinct case at unit
-    amplitude, and each case scales that result by its wave height or
-    torque amplitude (``CellResult.scaled``). A case runs on its own instead
-    when its unit run failed or is not steady, or when a scaled value or
-    state would not be finite: an unstable system overflows at a step that
-    depends on the amplitude, so only the case's own run gives its error
-    and flags.
+    linear in the forcing, so ``fn`` first runs once per distinct case at
+    unit amplitude (1 m wave height or 1 N m torque). Each unit record is
+    dropped once it has given its headroom: the largest factor that keeps
+    every squared state, and any sum of those squares over the record, well
+    inside the float range. Each case then scales its unit result by its
+    wave height or torque amplitude (``CaseResult.scaled``). A case runs on
+    its own instead, after all unit runs, when its unit run failed or is not
+    steady, its factor exceeds the headroom, or a scaled value is not
+    finite: an unstable system overflows at a step that depends on the
+    amplitude, so only the case's own run gives its error and flags.
     """
-    split = []
+    keys, factors = [], []
     for condition, *rest in cases:
-        unit, factor = _unit_amplitude(condition)
-        split.append(((unit, *rest), factor))
-    keys = list(dict.fromkeys(key for key, _ in split))
-    by_key = {key: _quarantined(_unit_cell, fn, model, *key) for key in keys}
+        if isinstance(condition, WaveCondition):
+            keys.append((replace(condition, height=1.0), *rest))
+            factors.append(condition.height)
+        else:
+            keys.append((replace(condition, amplitude=1.0), *rest))
+            factors.append(condition.amplitude)
+
+    units = {}
+    for key in dict.fromkeys(keys):
+        unit = _attempt(fn, model, *key)
+        if isinstance(unit, CaseResult) and unit.metrics.steady:
+            record = unit.record
+            peak = float(max(np.max(np.abs(record.rotation)), np.max(np.abs(record.velocity))))
+            room = math.sqrt(np.finfo(float).max / (4.0 * record.time.size))
+            units[key] = (replace(unit, record=None), room / peak if peak > 0.0 else math.inf)
+            del record
+        del unit  # the record goes before the next key runs
 
     results = []
-    for key, factor in split:
-        outcome = by_key[key]
-        scaled = None
-        if not isinstance(outcome, str):
-            unit, limit = outcome
-            if unit.metrics.steady and factor <= limit:
-                scaled = unit.scaled(factor)
-        results.append(scaled)
+    for key, factor in zip(keys, factors):
+        unit, limit = units.get(key, (None, 0.0))
+        results.append(unit.scaled(factor) if unit is not None and factor <= limit else None)
     for index, result in enumerate(results):
         if result is None:
-            results[index] = _quarantined(_reduced, fn, model, *cases[index])
+            result = _attempt(fn, model, *cases[index])
+            if isinstance(result, CaseResult):
+                result = replace(result, record=None)
+            results[index] = result
     return results
 
 
@@ -431,8 +419,8 @@ def compute_power_matrix(
     ]
     outcomes = evaluate_linear(run_wave_case, design.model, cases)
     for (i, j), outcome in zip(cells, outcomes):
-        if isinstance(outcome, str):
-            failures.append(f"cell hs={hs_bins[i]:g} te={te_bins[j]:g}: {outcome}")
+        if isinstance(outcome, Exception):
+            failures.append(f"cell hs={hs_bins[i]:g} te={te_bins[j]:g}: {failure_text(outcome)}")
             continue
         per_flap[i, j] = outcome.power
         steady[i, j] = outcome.metrics.steady

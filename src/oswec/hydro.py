@@ -62,11 +62,6 @@ class FlapProperties:
         if not self.stiffness > 0.0:
             raise InvalidInputError(f"stiffness must be positive, got {self.stiffness}")
 
-    @property
-    def natural_frequency(self) -> float:
-        """Dry natural frequency sqrt(k/I) [rad/s] (no added inertia)."""
-        return math.sqrt(self.stiffness / self.inertia_dry)
-
 
 @dataclass(frozen=True)
 class HydroCoefficients:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .energy import CellResult, Model, evaluate_linear, run_torque_case, run_wave_case
+from .energy import CaseResult, Model, evaluate_linear, failure_text, run_torque_case, run_wave_case
 from .errors import InvalidInputError
 from .forcing import Scenario, TorqueScenario, WaveCondition
 from .hydro import solve_dispersion
@@ -139,7 +139,7 @@ def _ratio(value: float, reference: float) -> float:
     return value / reference if reference != 0.0 else math.nan
 
 
-def _pair_fields(names: tuple[str, str], result: CellResult, base: CellResult | None) -> dict:
+def _pair_fields(names: tuple[str, str], result: CaseResult, base: CaseResult | None) -> dict:
     """Both flaps' metrics; with a single-flap ``base``, also the baseline
     and each flap's RMS ratio to it."""
     fields = {}
@@ -158,13 +158,11 @@ def _pair_fields(names: tuple[str, str], result: CellResult, base: CellResult | 
     return fields
 
 
-def _baseline(fn, model: Model, case: tuple, outcome):
-    """A baseline's outcome. A failed baseline fails the whole study, so it
-    runs again here, unquarantined, to raise its own exception (a
-    NumericalError exits 2)."""
-    if isinstance(outcome, str):
-        result = fn(model, *case)
-        return CellResult(result.metrics, result.power)
+def _baseline(outcome: CaseResult | Exception) -> CaseResult:
+    """A baseline's outcome. A failed baseline fails the whole study with
+    its own exception (a NumericalError exits 2)."""
+    if isinstance(outcome, Exception):
+        raise outcome
     return outcome
 
 
@@ -214,7 +212,7 @@ def run_torque_study(plan: SweepPlan, model: Model) -> SweepReport:
     ]
     outcomes = evaluate_linear(run_torque_case, model, [(s,) for s in singles + grid])
     baselines = {
-        (single.period, single.amplitude): _baseline(run_torque_case, model, (single,), outcome)
+        (single.period, single.amplitude): _baseline(outcome)
         for single, outcome in zip(singles, outcomes)
     }
     outcomes = outcomes[len(singles):]
@@ -224,14 +222,14 @@ def run_torque_study(plan: SweepPlan, model: Model) -> SweepReport:
     )
     for scenario, outcome in zip(grid, outcomes):
         lam = 2.0 * math.pi / solve_dispersion(scenario.period, model.environment)
-        failed = isinstance(outcome, str)
+        failed = isinstance(outcome, Exception)
         row: dict = {
             "scenario": scenario.variant.value,
             "distance_m": float(scenario.distance),
             "period_s": float(scenario.period),
             "torque_Nm": float(scenario.amplitude),
             "d_over_lambda": scenario.distance / lam,
-            "error": outcome if failed else "",
+            "error": failure_text(outcome) if failed else "",
         }
         if not failed:
             base = baselines[(scenario.period, scenario.amplitude)]
@@ -286,7 +284,7 @@ def run_wave_study(plan: SweepPlan, model: Model) -> SweepReport:
     ]
     outcomes = evaluate_linear(run_wave_case, model, singles + grid)
     baselines = {
-        (single[0].period, single[0].height): _baseline(run_wave_case, model, single, outcome)
+        (single[0].period, single[0].height): _baseline(outcome)
         for single, outcome in zip(singles, outcomes)
     }
     outcomes = outcomes[len(singles):]
@@ -295,14 +293,14 @@ def run_wave_study(plan: SweepPlan, model: Model) -> SweepReport:
     for (wave, d, _), outcome in zip(grid, outcomes):
         lam = 2.0 * math.pi / solve_dispersion(wave.period, model.environment)
         ratio = d / lam
-        failed = isinstance(outcome, str)
+        failed = isinstance(outcome, Exception)
         row: dict = {
             "distance_m": float(d),
             "period_s": float(wave.period),
             "height_m": float(wave.height),
             "d_over_lambda": ratio,
             "band": classify_band(ratio),
-            "error": outcome if failed else "",
+            "error": failure_text(outcome) if failed else "",
         }
         if not failed:
             base = baselines[(wave.period, wave.height)]
@@ -349,7 +347,7 @@ def run_heading_study(plan: SweepPlan, model: Model) -> SweepReport:
     cases = [(wave, HEADING_DISTANCE, True) for wave in batch]
     outcomes = evaluate_linear(run_wave_case, model, cases)
     zero = next(
-        _baseline(run_wave_case, model, case, outcome)
+        _baseline(outcome)
         for case, outcome in zip(cases, outcomes)
         if case[0].heading_deg == 0.0
     )
@@ -357,13 +355,13 @@ def run_heading_study(plan: SweepPlan, model: Model) -> SweepReport:
     report = SweepReport("heading", HEADING_COLUMNS, ("heading_deg",))
     for wave, outcome in zip(waves, outcomes):
         beta = wave.heading_deg
-        failed = isinstance(outcome, str)
+        failed = isinstance(outcome, Exception)
         row: dict = {
             "heading_deg": beta,
             "distance_m": HEADING_DISTANCE,
             "period_s": HEADING_PERIOD,
             "height_m": HEADING_HEIGHT,
-            "error": outcome if failed else "",
+            "error": failure_text(outcome) if failed else "",
         }
         if not failed:
             row.update(_pair_fields(("front", "back"), outcome, None))

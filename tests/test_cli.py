@@ -344,6 +344,21 @@ class TestUsageErrors:
         out = out_dir(fast_config)
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["aep", "--jpd", "JPD", "--distances", "inf"],
+            ["sweep", "--study", "heading", "--distances", "10"],
+            ["simulate", "--wave", "--Te", "8.5"],
+        ],
+        ids=["aep-distances-inf", "heading-distances", "simulate-wave-without-H"],
+    )
+    def test_exit_1_leaves_no_output_directory(self, fast_config, data_dir, tmp_path, args):
+        out = tmp_path / "never_written"
+        args = [str(data_dir / "sample_jpd.csv") if a == "JPD" else a for a in args]
+        assert main([str(fast_config), "--out", str(out), *args]) == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("which", ["config", "jpd", "non-utf8-jpd"])
     def test_unreadable_input_exits_1(self, fast_config, tmp_path, capsys, which):
         config, jpd = str(fast_config), str(tmp_path)

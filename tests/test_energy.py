@@ -26,6 +26,7 @@ from oswec.energy import (
     annual_energy,
     compute_power_matrix,
     effective_coefficients,
+    failure_text,
     load_jpd,
     mean_power,
     power_matrix_payload,
@@ -97,6 +98,13 @@ class TestPTO:
     def test_negative_damping_rejected(self):
         with pytest.raises(InvalidInputError):
             PTOModel(-1.0)
+
+
+class TestDesign:
+    @pytest.mark.parametrize("distance", [math.inf, -math.inf, math.nan, 0.0, -10.0])
+    def test_dual_distance_must_be_positive_and_finite(self, reference, distance):
+        with pytest.raises(InvalidInputError, match=f"positive, finite distance, got {distance}"):
+            Design(reference, distance)
 
 
 class TestJPD:
@@ -358,6 +366,36 @@ class TestUnitAmplitudeGrid:
             run_wave_case(model, WaveCondition(1.0e153, 9.5), 0.0, False)
         assert pm.computed[:2, 0].all() and not pm.computed[2, 0]
         assert pm.errors == (f"cell hs=1e+153 te=9.5: NumericalError: {raised.value}",)
+
+    @given(
+        hs=st.lists(
+            st.one_of(st.floats(0.5, 5.0), st.floats(1.0e150, 1.0e200)),
+            min_size=1,
+            max_size=3,
+            unique=True,
+        ).map(sorted),
+        te=st.lists(st.sampled_from([8.5, 9.5, 10.5]), min_size=1, max_size=2, unique=True),
+        dual=st.booleans(),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_every_cell_is_its_own_run_or_its_failure(self, fast_reference, hs, te, dual):
+        # normal heights take the scaled path, overflowing ones the direct one
+        distance = 45.0 if dual else 0.0
+        pm = compute_power_matrix(Design(fast_reference, distance, dual=dual), hs, te)
+        for i, height in enumerate(hs):
+            for j, period in enumerate(te):
+                try:
+                    direct = run_wave_case(
+                        fast_reference, WaveCondition(height, period), distance, dual
+                    )
+                except Exception as exc:  # noqa: BLE001 - the grid keeps any failure
+                    assert not pm.computed[i, j]
+                    assert f"cell hs={height:g} te={period:g}: {failure_text(exc)}" in pm.errors
+                    continue
+                assert pm.computed[i, j]
+                np.testing.assert_allclose(pm.power_per_flap[i, j], direct.power, rtol=1e-12)
+                assert pm.steady[i, j] == direct.metrics.steady
+        assert len(pm.errors) == np.count_nonzero(~pm.computed)
 
 
 class TestNonFiniteBackstop:

@@ -242,6 +242,24 @@ class TestUnitAmplitudeCollapse:
         with pytest.raises(NumericalError, match="single flap overflowed"):
             run_torque_study(self.PLAN, fast_reference)
 
+    def test_failed_baseline_is_not_run_again(self, fast_reference, monkeypatch):
+        # the 2 unit keys and the 6 single cells run once each (8 runs); the
+        # study raises the error it kept from those runs
+        calls = []
+        real = sweep_mod.run_torque_case
+
+        def failing_single(model, scenario):
+            if scenario.variant is Scenario.SINGLE:
+                calls.append((scenario.period, scenario.amplitude))
+                raise NumericalError("single flap overflowed")
+            return real(model, scenario)
+
+        monkeypatch.setattr(sweep_mod, "run_torque_case", failing_single)
+        with pytest.raises(NumericalError, match="single flap overflowed"):
+            run_torque_study(self.PLAN, fast_reference)
+        cells = [(p, a) for p in self.PLAN.torque_periods for a in self.PLAN.torque_amplitudes]
+        assert calls == [(p, 1.0) for p in self.PLAN.torque_periods] + cells
+
 
 class TestWaveStudy:
     def test_identical_flaps_without_coupling_or_shading(self, fast_decoupled):
