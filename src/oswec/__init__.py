@@ -20,7 +20,6 @@ from .dynamics import (
     response_metrics,
 )
 from .energy import (
-    AEPReport,
     CaseResult,
     Design,
     JPD,

@@ -268,26 +268,24 @@ def _cmd_aep(args, run_config: RunConfig, out_dir: str) -> int:
     rows = []
     single_design = Design(model, distance=0.0, heading_deg=args.heading, dual=False)
     single_pm = compute_power_matrix(single_design, jpd.hs_bins, jpd.te_bins, jpd.occurrence)
-    single_report = annual_energy(single_pm, jpd)
     os.makedirs(out_dir, exist_ok=True)
     _write_power_matrix(single_pm, jpd, out_dir, "single")
     rows.append(
         {
             "label": "single_doubled",
             "distance_m": "",
-            "annual_energy_GWh": 2.0 * single_report.total_gwh,
+            "annual_energy_GWh": 2.0 * annual_energy(single_pm, jpd),
         }
     )
     for d in plan.distances:
         design = Design(model, distance=float(d), heading_deg=args.heading, dual=True)
         pm = compute_power_matrix(design, jpd.hs_bins, jpd.te_bins, jpd.occurrence)
-        report = annual_energy(pm, jpd)
         _write_power_matrix(pm, jpd, out_dir, f"d{format(float(d), 'g')}")
         rows.append(
             {
                 "label": f"dual_d{format(float(d), 'g')}",
                 "distance_m": float(d),
-                "annual_energy_GWh": report.total_gwh,
+                "annual_energy_GWh": annual_energy(pm, jpd),
             }
         )
 

@@ -71,6 +71,15 @@ def _require(section: dict, key: str, context: str):
     return section[key]
 
 
+def _integer(section: dict, key: str, default: int, context: str) -> int:
+    value = section.get(key, default)
+    if isinstance(value, bool) or not (
+        isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    ):
+        raise InvalidInputError(f"config {context}: {key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _section(data: dict, key: str) -> dict:
     value = _require(data, key, "top level")
     if not isinstance(value, dict):
@@ -150,26 +159,30 @@ def _parse_run_config(data: dict, base_dir: str) -> RunConfig:
         transfer = load_transfer_table(os.path.join(base_dir, xfer_s["table_csv"]), eta)
 
     pto_s = _section(data, "pto")
+    included = pto_s.get("included_in_damping", True)
+    if not isinstance(included, bool):
+        raise InvalidInputError(
+            f"config pto: included_in_damping must be true or false, got {included!r}"
+        )
     pto = PTOModel(
         damping=float(_require(pto_s, "damping_Nm_s_per_rad", "pto")),
-        included_in_damping=bool(pto_s.get("included_in_damping", True)),
+        included_in_damping=included,
     )
 
     integ_s = data.get("integration", {})
     integration = IntegrationConfig(
-        steps_per_period=int(integ_s.get("steps_per_period", 200)),
-        ramp_periods=int(integ_s.get("ramp_periods", 10)),
-        measure_periods=int(integ_s.get("measure_periods", 10)),
-        max_periods=int(integ_s.get("max_periods", 200)),
+        steps_per_period=_integer(integ_s, "steps_per_period", 200, "integration"),
+        ramp_periods=_integer(integ_s, "ramp_periods", 10, "integration"),
+        measure_periods=_integer(integ_s, "measure_periods", 10, "integration"),
+        max_periods=_integer(integ_s, "max_periods", 200, "integration"),
         convergence_tol=float(integ_s.get("convergence_tol", 1e-4)),
     )
 
+    seed = _integer(data, "seed", 0, "top level")
+    if seed < 0:
+        raise InvalidInputError(f"config top level: seed must be >= 0, got {seed}")
     model = Model(environment, flap, coefficients, transfer, pto, integration)
-    return RunConfig(
-        model=model,
-        output_dir=str(data.get("output_dir", "out")),
-        seed=int(data.get("seed", 0)),
-    )
+    return RunConfig(model=model, output_dir=str(data.get("output_dir", "out")), seed=seed)
 
 
 def with_coupling_disabled(model: Model) -> Model:

@@ -208,6 +208,19 @@ class ResponseRecord:
         return series[self.window]
 
 
+def _free_model(system: SystemMatrices, forcing: ForcingSpec) -> tuple:
+    """The system with its fixed flaps removed: the free flap indices, their
+    inertia, damping and stiffness, and the forcing phasor T0 exp(i phi)."""
+    if forcing.dof != system.dof:
+        raise InvalidInputError(
+            f"forcing has {forcing.dof} flaps but the system has {system.dof} degrees of freedom"
+        )
+    free = forcing.free_indices()
+    block = np.ix_(free, free)
+    phasor = forcing.amplitudes()[free] * np.exp(1j * forcing.phases()[free])
+    return free, system.inertia[block], system.damping[block], system.stiffness[free], phasor
+
+
 def _mirrored_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``a @ b`` over states [rotations, velocities], summed part by part.
 
@@ -253,11 +266,7 @@ def integrate(
     steady=True is only ever reported for a finite RMS.
     """
     n = system.dof
-    if forcing.dof != n:
-        raise InvalidInputError(
-            f"forcing has {forcing.dof} flaps but the system has {n} degrees of freedom"
-        )
-    free = forcing.free_indices()
+    free, m, c, k, phasor = _free_model(system, forcing)
     omega = forcing.omega
     steps = cfg.steps_per_period
     dt = (2.0 * math.pi / omega) / steps
@@ -270,12 +279,6 @@ def integrate(
         window = slice(steps + 1 - span, steps + 1)
         return ResponseRecord(time, zeros, zeros.copy(), omega, True, 1, window)
 
-    m = system.inertia[np.ix_(free, free)]
-    c = system.damping[np.ix_(free, free)]
-    k = system.stiffness[free]
-    amp = forcing.amplitudes()[free]
-    phase = forcing.phases()[free]
-
     nf = len(free)
     minv = np.linalg.inv(m)
     # first-order form y = [theta, theta_dot], y' = a_mat @ y + Im(g exp(i w t))
@@ -284,7 +287,7 @@ def integrate(
     a_mat[nf:, :nf] = -minv * k[np.newaxis, :]
     a_mat[nf:, nf:] = -minv @ c
     g = np.zeros(2 * nf, dtype=complex)
-    g[nf:] = minv @ (amp * np.exp(1j * phase))
+    g[nf:] = minv @ phasor
 
     # one RK4 step from t is y <- step @ y + Im(q exp(i w t)): step is RK4's
     # stability polynomial in dt*a_mat and q the forcing part of its stages
@@ -352,11 +355,9 @@ def integrate(
     arr = np.concatenate(blocks)
     total = arr.shape[0]
     time = np.arange(total) * dt
-    rotation = np.zeros((total, n))
-    velocity = np.zeros((total, n))
-    for col, idx in enumerate(free):
-        rotation[:, idx] = arr[:, col]
-        velocity[:, idx] = arr[:, nf + col]
+    states = np.zeros((2, total, n))
+    states[:, :, free] = arr.reshape(total, 2, nf).swapaxes(0, 1)
+    rotation, velocity = states
     window = slice(total - span, total)
     return ResponseRecord(time, rotation, velocity, omega, steady, cycles, window)
 
@@ -374,51 +375,34 @@ def freq_domain_solve(system: SystemMatrices, forcing: ForcingSpec) -> np.ndarra
     the rotation amplitude and its argument the phase in the same sine
     convention as the integrator.
     """
-    n = system.dof
-    if forcing.dof != n:
-        raise InvalidInputError(
-            f"forcing has {forcing.dof} flaps but the system has {n} degrees of freedom"
-        )
-    free = forcing.free_indices()
-    theta = np.zeros(n, dtype=complex)
+    free, m, c, k, f = _free_model(system, forcing)
+    theta = np.zeros(system.dof, dtype=complex)
     if not free:
         return theta
     omega = forcing.omega
-    m = system.inertia[np.ix_(free, free)]
-    c = system.damping[np.ix_(free, free)]
-    k = np.diag(system.stiffness[free])
-    z = -(omega**2) * m + 1j * omega * c + k
-    f = forcing.amplitudes()[free] * np.exp(1j * forcing.phases()[free])
+    z = -(omega**2) * m + 1j * omega * c + np.diag(k)
     try:
         sol = np.linalg.solve(z, f)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"harmonic system matrix is singular: {exc}") from None
     if not np.isfinite(sol).all():
         raise NumericalError("harmonic solve produced non-finite amplitudes")
-    for col, idx in enumerate(free):
-        theta[idx] = sol[col]
+    theta[free] = sol
     return theta
 
 
-def harmonic_fit(
-    time: np.ndarray,
-    series: np.ndarray,
-    omega: float,
-    window: slice | None = None,
-) -> tuple[float, float]:
+def harmonic_fit(time: np.ndarray, series: np.ndarray, omega: float) -> tuple[float, float]:
     """Least-squares amplitude and phase of a harmonic at frequency omega.
 
-    Fits A*sin(w t) + B*cos(w t) over the window (default: whole series)
-    and returns (sqrt(A^2+B^2), atan2(B, A)); the fitted signal is
-    amplitude*sin(w t + phase) with phase in (-pi, pi]. The window must
+    Fits A*sin(w t) + B*cos(w t) over the whole series and returns
+    (sqrt(A^2+B^2), atan2(B, A)); the fitted signal is
+    amplitude*sin(w t + phase) with phase in (-pi, pi]. The series must
     span at least three full periods.
     """
-    if window is None:
-        window = slice(None)
-    t = np.asarray(time, dtype=float)[window]
-    y = np.asarray(series, dtype=float)[window]
+    t = np.asarray(time, dtype=float)
+    y = np.asarray(series, dtype=float)
     if t.size != y.size:
-        raise InvalidInputError("time and series windows differ in length")
+        raise InvalidInputError("time and series differ in length")
     if t.size < 4:
         raise InvalidInputError(f"window of {t.size} samples is too short to fit")
     dt = t[1] - t[0]

@@ -437,19 +437,8 @@ def compute_power_matrix(
     )
 
 
-@dataclass(frozen=True)
-class AEPReport:
-    """Annual energy per cell [Wh] and in total [GWh] for one design."""
-
-    hs_bins: np.ndarray
-    te_bins: np.ndarray
-    energy_wh: np.ndarray  # (nH, nT)
-    total_gwh: float
-    config: dict
-
-
-def annual_energy(pm: PowerMatrix, jpd: JPD, hours_per_year: float = HOURS_PER_YEAR) -> AEPReport:
-    """JPD-weighted annual energy of a power matrix."""
+def _energy_wh(pm: PowerMatrix, jpd: JPD) -> np.ndarray:
+    """Annual energy per (Hs, Te) cell [Wh]; the bin axes must match."""
     if not (
         pm.hs_bins.size == jpd.hs_bins.size
         and pm.te_bins.size == jpd.te_bins.size
@@ -457,14 +446,12 @@ def annual_energy(pm: PowerMatrix, jpd: JPD, hours_per_year: float = HOURS_PER_Y
         and np.allclose(pm.te_bins, jpd.te_bins, rtol=1e-12, atol=0.0)
     ):
         raise InvalidInputError("power matrix and JPD bin axes do not match")
-    energy_wh = pm.power_total * jpd.occurrence * hours_per_year
-    return AEPReport(
-        hs_bins=pm.hs_bins,
-        te_bins=pm.te_bins,
-        energy_wh=energy_wh,
-        total_gwh=float(energy_wh.sum()) / 1e9,
-        config=dict(pm.config),
-    )
+    return pm.power_total * jpd.occurrence * HOURS_PER_YEAR
+
+
+def annual_energy(pm: PowerMatrix, jpd: JPD) -> float:
+    """JPD-weighted annual energy of a power matrix [GWh]."""
+    return float(_energy_wh(pm, jpd).sum()) / 1e9
 
 
 def _fmt(x) -> str:
@@ -518,8 +505,7 @@ def power_matrix_payload(pm: PowerMatrix, jpd: JPD | None) -> dict:
         "errors": list(pm.errors),
     }
     if jpd is not None:
-        report = annual_energy(pm, jpd)
         payload["occurrence"] = [[float(x) for x in row] for row in jpd.occurrence]
-        payload["energy_Wh"] = [[float(x) for x in row] for row in report.energy_wh]
-        payload["total_annual_energy_GWh"] = report.total_gwh
+        payload["energy_Wh"] = [[float(x) for x in row] for row in _energy_wh(pm, jpd)]
+        payload["total_annual_energy_GWh"] = annual_energy(pm, jpd)
     return payload

@@ -20,9 +20,6 @@ from .dynamics import FlapForcing, ForcingSpec
 from .errors import InvalidInputError, open_input
 from .hydro import Environment, solve_dispersion
 
-LEFT, RIGHT = 0, 1
-FRONT, BACK = 0, 1
-
 
 class Scenario(enum.Enum):
     """Torque-forcing case labels."""
@@ -133,10 +130,14 @@ class ExcitationTransfer:
             raise InvalidInputError("transfer table must have at least one period")
         if gamma.shape != periods.shape:
             raise InvalidInputError("transfer table grids and values differ in length")
+        for name, values in (("period_grid", periods), ("gamma", gamma)):
+            bad = values[~(np.isfinite(values) & (values > 0.0))]
+            if bad.size:
+                raise InvalidInputError(
+                    f"transfer {name} must be positive and finite, got {bad[0]}"
+                )
         if periods.size > 1 and np.any(np.diff(periods) <= 0.0):
             raise InvalidInputError("transfer period grid must be strictly increasing")
-        if np.any(gamma <= 0.0):
-            raise InvalidInputError("transfer values must be positive")
         if not 0.0 <= self.eta < 1.0:
             raise InvalidInputError(f"transmission strength eta must be in [0, 1), got {self.eta}")
         object.__setattr__(self, "period_grid", periods)

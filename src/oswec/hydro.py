@@ -29,8 +29,8 @@ class Environment:
     water_depth: float | str = DEEP
 
     def __post_init__(self):
-        if not self.gravity > 0.0:
-            raise InvalidInputError(f"gravity must be positive, got {self.gravity}")
+        if not (math.isfinite(self.gravity) and self.gravity > 0.0):
+            raise InvalidInputError(f"gravity must be positive and finite, got {self.gravity}")
         if not self.is_deep:
             try:
                 depth = float(self.water_depth)
@@ -38,9 +38,9 @@ class Environment:
                 raise InvalidInputError(
                     f"water depth must be a number or 'deep', got {self.water_depth!r}"
                 ) from None
-            if not depth > 0.0:
+            if not (math.isfinite(depth) and depth > 0.0):
                 raise InvalidInputError(
-                    f"water depth must be positive or 'deep', got {self.water_depth}"
+                    f"water depth must be positive and finite or 'deep', got {self.water_depth}"
                 )
             object.__setattr__(self, "water_depth", depth)
 
@@ -57,10 +57,10 @@ class FlapProperties:
     stiffness: float
 
     def __post_init__(self):
-        if not self.inertia_dry > 0.0:
-            raise InvalidInputError(f"dry inertia must be positive, got {self.inertia_dry}")
-        if not self.stiffness > 0.0:
-            raise InvalidInputError(f"stiffness must be positive, got {self.stiffness}")
+        for name in ("inertia_dry", "stiffness"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise InvalidInputError(f"{name} must be positive and finite, got {value}")
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ time-domain vs frequency-domain agreement, energy balance, and linearity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,29 +27,27 @@ PHASE_TOL = 0.02  # rad
 ENERGY_TOL = 0.01  # relative
 LINEARITY_TOL = 1e-6  # relative
 _TINY_AMPLITUDE = 1e-12  # rad; below this a fitted phase is meaningless
+PROPERTIES = ("oracle-amplitude", "oracle-phase", "energy-balance", "linearity")
 
 
-@dataclass
-class VerifyCase:
-    """One randomized system/forcing pair and its check outcomes."""
-
-    index: int
-    params: dict
-    failures: list[str] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-
-@dataclass
+@dataclass(frozen=True)
 class VerifyOutcome:
-    cases: list[VerifyCase]
-    property_failures: dict[str, int]
+    """Each case's parameters and failure lines, in case order. A line starts
+    with the property it breaks: one per flap, or one per case for the energy balance."""
+
+    cases: list[tuple[dict, list[str]]]
 
     @property
     def passed(self) -> bool:
-        return all(c.passed for c in self.cases)
+        return not any(failures for _, failures in self.cases)
+
+    @property
+    def property_failures(self) -> dict[str, int]:
+        """Failure lines per property, in ``PROPERTIES`` order."""
+        return {
+            prop: sum(line.startswith(prop) for _, failures in self.cases for line in failures)
+            for prop in PROPERTIES
+        }
 
 
 def _random_case(rng: np.random.Generator) -> tuple[SystemMatrices, ForcingSpec, dict]:
@@ -106,10 +104,9 @@ def run_verification(
     """Check every property on ``n_cases`` randomized systems."""
     rng = np.random.default_rng(seed)
     cases = []
-    property_failures = {"oracle-amplitude": 0, "oracle-phase": 0, "energy-balance": 0, "linearity": 0}
-    for index in range(n_cases):
+    for _ in range(n_cases):
         system, forcing, params = _random_case(rng)
-        case = VerifyCase(index, params)
+        failures = []
         record = integrate(system, forcing, integration)
         metrics = response_metrics(record)
         theta = freq_domain_solve(system, forcing)
@@ -119,28 +116,25 @@ def run_verification(
             got_amp = metrics.amplitude[i]
             denom = max(expected_amp, _TINY_AMPLITUDE)
             if abs(got_amp - expected_amp) / denom > AMPLITUDE_TOL:
-                case.failures.append(
+                failures.append(
                     f"oracle-amplitude flap {i}: time-domain {got_amp:.6e} vs "
                     f"frequency-domain {expected_amp:.6e}"
                 )
-                property_failures["oracle-amplitude"] += 1
             if expected_amp > _TINY_AMPLITUDE:
                 dphi = phase_distance(metrics.phase[i], np.angle(theta[i]))
                 if dphi > PHASE_TOL:
-                    case.failures.append(
+                    failures.append(
                         f"oracle-phase flap {i}: time-domain {metrics.phase[i]:.4f} vs "
                         f"frequency-domain {float(np.angle(theta[i])):.4f} (gap {dphi:.4f} rad)"
                     )
-                    property_failures["oracle-phase"] += 1
 
         p_in = input_power(record, forcing)
         p_out = dissipated_power(record, system)
         denom = max(abs(p_in), abs(p_out), 1e-12)
         if abs(p_in - p_out) / denom > ENERGY_TOL:
-            case.failures.append(
+            failures.append(
                 f"energy-balance: input {p_in:.6e} W vs dissipated {p_out:.6e} W"
             )
-            property_failures["energy-balance"] += 1
 
         scaled = integrate(system, forcing.scaled(2.0), integration)
         scaled_metrics = response_metrics(scaled)
@@ -150,28 +144,22 @@ def run_verification(
                 continue
             ratio = scaled_metrics.amplitude[i] / base_amp
             if abs(ratio - 2.0) > 2.0 * LINEARITY_TOL:
-                case.failures.append(
+                failures.append(
                     f"linearity flap {i}: doubling forcing scaled the amplitude by {ratio:.8f}"
                 )
-                property_failures["linearity"] += 1
-        cases.append(case)
-    return VerifyOutcome(cases, property_failures)
+        cases.append((params, failures))
+    return VerifyOutcome(cases)
 
 
 def format_report(outcome: VerifyOutcome) -> str:
     """Per-property pass/fail lines followed by any failing case parameters."""
     lines = []
     n = len(outcome.cases)
-    for prop, count in outcome.property_failures.items():
-        status = "PASS" if count == 0 else "FAIL"
-        lines.append(f"{status} {prop}: {n - _cases_failing(outcome, prop)}/{n} cases ok")
-    for case in outcome.cases:
-        if not case.passed:
-            lines.append(f"case {case.index} FAILED with parameters {case.params}:")
-            for failure in case.failures:
-                lines.append(f"  - {failure}")
+    for prop in PROPERTIES:
+        failing = sum(any(line.startswith(prop) for line in f) for _, f in outcome.cases)
+        lines.append(f"{'FAIL' if failing else 'PASS'} {prop}: {n - failing}/{n} cases ok")
+    for index, (params, failures) in enumerate(outcome.cases):
+        if failures:
+            lines.append(f"case {index} FAILED with parameters {params}:")
+            lines.extend(f"  - {line}" for line in failures)
     return "\n".join(lines)
-
-
-def _cases_failing(outcome: VerifyOutcome, prop: str) -> int:
-    return sum(1 for c in outcome.cases if any(f.startswith(prop) for f in c.failures))

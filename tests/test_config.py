@@ -123,6 +123,7 @@ class TestLoadRunConfig:
 
 
 ANALYTIC = {"added_inertia_kg_m2": 2.0e6, "damping_Nm_s_per_rad": 1.0e6, "alpha": 0.05}
+FLAP = {"inertia_dry_kg_m2": 8.0e6, "stiffness_Nm_per_rad": 4.375e6}
 SIMULATE = ["simulate", "--scenario", "single", "--Te", "9.5", "--T0", "1e6"]
 
 
@@ -139,8 +140,25 @@ class TestNonFiniteInputs:
             ),
             ({"coefficients": {"analytic": {**ANALYTIC, "eps": math.nan}}}, "eps"),
             ({"integration": {"convergence_tol": math.inf}}, "convergence_tol"),
+            ({"flap": {**FLAP, "inertia_dry_kg_m2": math.inf}}, "inertia_dry"),
+            ({"flap": {**FLAP, "stiffness_Nm_per_rad": math.inf}}, "stiffness"),
+            ({"transfer": {"gamma_Nm_per_m": math.nan, "eta": 0.1}}, "gamma"),
+            ({"transfer": {"gamma_Nm_per_m": math.inf, "eta": 0.1}}, "gamma"),
+            ({"environment": {"gravity_m_per_s2": math.inf}}, "gravity"),
+            ({"environment": {"water_depth_m": math.inf}}, "water depth"),
         ],
-        ids=["pto_damping", "added_inertia", "kernel_eps", "convergence_tol"],
+        ids=[
+            "pto_damping",
+            "added_inertia",
+            "kernel_eps",
+            "convergence_tol",
+            "inertia_dry",
+            "stiffness",
+            "gamma_nan",
+            "gamma_inf",
+            "gravity",
+            "water_depth",
+        ],
     )
     def test_config_value_rejected(self, tmp_path, overrides, match):
         path = write_config(tmp_path / "cfg.json", **overrides)
@@ -159,6 +177,66 @@ class TestNonFiniteInputs:
         with pytest.raises(InvalidInputError, match="coupling_.* must be finite"):
             load_run_config(path)
         assert main([str(path), *SIMULATE]) == 1
+
+
+    @pytest.mark.parametrize("row", ["8,inf", "nan,1e6"], ids=["gamma", "period"])
+    def test_transfer_table_rejected(self, tmp_path, row):
+        (tmp_path / "gamma.csv").write_text(f"period_s,gamma_Nm_per_m\n{row}\n")
+        path = write_config(tmp_path / "cfg.json", transfer={"table_csv": "gamma.csv"})
+        with pytest.raises(InvalidInputError, match="must be positive and finite"):
+            load_run_config(path)
+        assert main([str(path), *SIMULATE]) == 1
+
+
+class TestStrictTypes:
+    """Booleans and integers are taken as written, never coerced."""
+
+    @pytest.mark.parametrize(
+        "overrides, match",
+        [
+            (
+                {"pto": {"damping_Nm_s_per_rad": 5.0e5, "included_in_damping": "false"}},
+                "included_in_damping",
+            ),
+            (
+                {"pto": {"damping_Nm_s_per_rad": 5.0e5, "included_in_damping": 0}},
+                "included_in_damping",
+            ),
+            ({"integration": {"steps_per_period": 2.7}}, "steps_per_period"),
+            ({"integration": {"max_periods": "200"}}, "max_periods"),
+            ({"integration": {"ramp_periods": True}}, "ramp_periods"),
+            ({"seed": -1}, "seed"),
+            ({"seed": 1.5}, "seed"),
+        ],
+        ids=[
+            "bool_string",
+            "bool_int",
+            "fractional_steps",
+            "string_periods",
+            "bool_periods",
+            "negative_seed",
+            "fractional_seed",
+        ],
+    )
+    def test_config_value_rejected(self, tmp_path, capsys, overrides, match):
+        path = write_config(tmp_path / "cfg.json", **overrides)
+        with pytest.raises(InvalidInputError, match=match):
+            load_run_config(path)
+        assert main([str(path), "verify", "--cases", "1"]) == 1
+        err = capsys.readouterr().err
+        assert "configuration error" in err and match in err
+
+    def test_integral_float_accepted(self, tmp_path):
+        path = write_config(tmp_path / "cfg.json", integration={"steps_per_period": 120.0})
+        steps = load_run_config(path).model.integration.steps_per_period
+        assert steps == 120 and isinstance(steps, int)
+
+    def test_boolean_false_is_honoured(self, tmp_path):
+        path = write_config(
+            tmp_path / "cfg.json",
+            pto={"damping_Nm_s_per_rad": 5.0e5, "included_in_damping": False},
+        )
+        assert load_run_config(path).model.pto.included_in_damping is False
 
 
 class TestCouplingToggle:

@@ -499,6 +499,16 @@ class TestFreqDomain:
         with pytest.raises(NumericalError):
             freq_domain_solve(system, forcing)
 
+    def test_dimension_mismatch_matches_integrate(self):
+        forcing = ForcingSpec(0.7, (FlapForcing(1.0e6), FlapForcing(1.0e6)))
+        messages = []
+        for solver in (integrate, freq_domain_solve):
+            with pytest.raises(InvalidInputError) as excinfo:
+                solver(reference_1dof(), forcing)
+            messages.append(str(excinfo.value))
+        assert messages[0] == messages[1]
+        assert messages[0] == "forcing has 2 flaps but the system has 1 degrees of freedom"
+
 
 class TestHarmonicFit:
     def test_exact_harmonic(self):

@@ -28,6 +28,26 @@ def test_damping_sign_flip_breaks_energy_balance(monkeypatch):
     assert "parameters" in report
 
 
+def test_oracle_fault_counts_per_flap_and_per_case(monkeypatch):
+    # fault injection: the oracle reports twice the true response, which
+    # breaks every flap's amplitude check and no phase
+    solve = verify_mod.freq_domain_solve
+    monkeypatch.setattr(
+        verify_mod, "freq_domain_solve", lambda system, forcing: 2.0 * solve(system, forcing)
+    )
+    outcome = run_verification(n_cases=3, seed=0, integration=FAST)
+    assert [params["dof"] for params, _ in outcome.cases] == [2, 1, 1]
+    # one failure per flap ...
+    assert outcome.property_failures["oracle-amplitude"] == 4
+    # ... but the report counts cases
+    assert format_report(outcome).splitlines()[:4] == [
+        "FAIL oracle-amplitude: 0/3 cases ok",
+        "PASS oracle-phase: 3/3 cases ok",
+        "PASS energy-balance: 3/3 cases ok",
+        "PASS linearity: 3/3 cases ok",
+    ]
+
+
 def test_report_lists_properties():
     outcome = run_verification(n_cases=2, seed=1, integration=FAST)
     report = format_report(outcome)
