@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import os
 import sys
 
@@ -28,7 +27,7 @@ from .energy import (
     run_wave_case,
     write_power_matrix_csv,
 )
-from .errors import InvalidInputError, NumericalError
+from .errors import InvalidInputError, NumericalError, format_number, write_json
 from .forcing import Scenario, TorqueScenario, WaveCondition
 from .sweep import SweepPlan, run_heading_study, run_torque_study, run_wave_study
 from .verify import format_report, run_verification
@@ -181,9 +180,7 @@ def _cmd_simulate(args, run_config: RunConfig, out_dir: str) -> int:
     }
     os.makedirs(out_dir, exist_ok=True)
     metrics_path = os.path.join(out_dir, "simulate_metrics.json")
-    with open(metrics_path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    write_json(metrics_path, payload)
     if args.dump_timeseries:
         _write_timeseries(result.record, os.path.join(out_dir, "simulate_timeseries.csv"))
     rms_text = ", ".join(
@@ -202,10 +199,8 @@ def _write_timeseries(record, path) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         for i in range(record.time.size):
-            row = [format(record.time[i], ".9g")]
-            row += [format(x, ".12g") for x in record.rotation[i]]
-            row += [format(x, ".12g") for x in record.velocity[i]]
-            writer.writerow(row)
+            states = map(format_number, (*record.rotation[i], *record.velocity[i]))
+            writer.writerow([format(record.time[i], ".9g"), *states])
 
 
 # the sweep flags each study reads; any other flag given is an error
@@ -297,23 +292,20 @@ def _cmd_aep(args, run_config: RunConfig, out_dir: str) -> int:
             writer.writerow(
                 [
                     row["label"],
-                    "" if row["distance_m"] == "" else format(row["distance_m"], ".12g"),
-                    format(row["annual_energy_GWh"], ".12g"),
+                    "" if row["distance_m"] == "" else format_number(row["distance_m"]),
+                    format_number(row["annual_energy_GWh"]),
                 ]
             )
     table_json = os.path.join(out_dir, "aep_table.json")
-    with open(table_json, "w", encoding="utf-8") as fh:
-        json.dump(
-            {
-                "jpd_file": os.path.abspath(args.jpd),
-                "heading_deg": args.heading,
-                "config": single_pm.config,
-                "rows": rows,
-            },
-            fh,
-            indent=2,
-        )
-        fh.write("\n")
+    write_json(
+        table_json,
+        {
+            "jpd_file": os.path.abspath(args.jpd),
+            "heading_deg": args.heading,
+            "config": single_pm.config,
+            "rows": rows,
+        },
+    )
     for row in rows:
         print(f"{row['label']}: {row['annual_energy_GWh']:.4f} GWh")
     print(f"-> {table_csv}, {table_json}")
@@ -322,9 +314,7 @@ def _cmd_aep(args, run_config: RunConfig, out_dir: str) -> int:
 
 def _write_power_matrix(pm, jpd, out_dir: str, tag: str) -> None:
     write_power_matrix_csv(pm, jpd, os.path.join(out_dir, f"power_matrix_{tag}.csv"))
-    with open(os.path.join(out_dir, f"power_matrix_{tag}.json"), "w", encoding="utf-8") as fh:
-        json.dump(power_matrix_payload(pm, jpd), fh, indent=2)
-        fh.write("\n")
+    write_json(os.path.join(out_dir, f"power_matrix_{tag}.json"), power_matrix_payload(pm, jpd))
 
 
 def _cmd_verify(args, run_config: RunConfig) -> int:

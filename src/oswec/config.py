@@ -80,8 +80,16 @@ def _integer(section: dict, key: str, default: int, context: str) -> int:
     return int(value)
 
 
-def _section(data: dict, key: str) -> dict:
-    value = _require(data, key, "top level")
+def _number(section: dict, key: str, context: str, default: float | None = None) -> float:
+    """A JSON number (not a boolean or a string); required when there is no default."""
+    value = _require(section, key, context) if default is None else section.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InvalidInputError(f"config {context}: {key} must be a number, got {value!r}")
+    return float(value)
+
+
+def _section(data: dict, key: str, context: str = "top level") -> dict:
+    value = _require(data, key, context)
     if not isinstance(value, dict):
         raise InvalidInputError(f"config section {key!r} must be an object")
     return value
@@ -112,14 +120,14 @@ def load_run_config(path) -> RunConfig:
 def _parse_run_config(data: dict, base_dir: str) -> RunConfig:
     env_s = _section(data, "environment")
     environment = Environment(
-        gravity=float(env_s.get("gravity_m_per_s2", 9.81)),
+        gravity=_number(env_s, "gravity_m_per_s2", "environment", 9.81),
         water_depth=env_s.get("water_depth_m", "deep"),
     )
 
     flap_s = _section(data, "flap")
     flap = FlapProperties(
-        inertia_dry=float(_require(flap_s, "inertia_dry_kg_m2", "flap")),
-        stiffness=float(_require(flap_s, "stiffness_Nm_per_rad", "flap")),
+        inertia_dry=_number(flap_s, "inertia_dry_kg_m2", "flap"),
+        stiffness=_number(flap_s, "stiffness_Nm_per_rad", "flap"),
     )
 
     coeff_s = _section(data, "coefficients")
@@ -130,14 +138,14 @@ def _parse_run_config(data: dict, base_dir: str) -> RunConfig:
             f"found {sources or 'neither'}"
         )
     if sources[0] == "analytic":
-        a = coeff_s["analytic"]
+        a = _section(coeff_s, "analytic", "coefficients")
         coefficients = AnalyticCoefficientSource(
             base=HydroCoefficients(
-                added_inertia=float(_require(a, "added_inertia_kg_m2", "coefficients.analytic")),
-                damping=float(_require(a, "damping_Nm_s_per_rad", "coefficients.analytic")),
+                added_inertia=_number(a, "added_inertia_kg_m2", "coefficients.analytic"),
+                damping=_number(a, "damping_Nm_s_per_rad", "coefficients.analytic"),
             ),
-            alpha=float(_require(a, "alpha", "coefficients.analytic")),
-            eps=float(a.get("eps", 0.1)),
+            alpha=_number(a, "alpha", "coefficients.analytic"),
+            eps=_number(a, "eps", "coefficients.analytic", 0.1),
         )
     else:
         coefficients = TableCoefficientSource(
@@ -146,7 +154,7 @@ def _parse_run_config(data: dict, base_dir: str) -> RunConfig:
         )
 
     xfer_s = _section(data, "transfer")
-    eta = float(xfer_s.get("eta", 0.1))
+    eta = _number(xfer_s, "eta", "transfer", 0.1)
     xfer_sources = [k for k in ("gamma_Nm_per_m", "table_csv") if k in xfer_s]
     if len(xfer_sources) != 1:
         raise InvalidInputError(
@@ -154,7 +162,8 @@ def _parse_run_config(data: dict, base_dir: str) -> RunConfig:
             f"found {xfer_sources or 'neither'}"
         )
     if xfer_sources[0] == "gamma_Nm_per_m":
-        transfer = ExcitationTransfer.constant(float(xfer_s["gamma_Nm_per_m"]), eta)
+        gamma = _number(xfer_s, "gamma_Nm_per_m", "transfer")
+        transfer = ExcitationTransfer.constant(gamma, eta)
     else:
         transfer = load_transfer_table(os.path.join(base_dir, xfer_s["table_csv"]), eta)
 
@@ -165,24 +174,29 @@ def _parse_run_config(data: dict, base_dir: str) -> RunConfig:
             f"config pto: included_in_damping must be true or false, got {included!r}"
         )
     pto = PTOModel(
-        damping=float(_require(pto_s, "damping_Nm_s_per_rad", "pto")),
+        damping=_number(pto_s, "damping_Nm_s_per_rad", "pto"),
         included_in_damping=included,
     )
 
-    integ_s = data.get("integration", {})
+    integ_s = _section(data, "integration") if "integration" in data else {}
     integration = IntegrationConfig(
         steps_per_period=_integer(integ_s, "steps_per_period", 200, "integration"),
         ramp_periods=_integer(integ_s, "ramp_periods", 10, "integration"),
         measure_periods=_integer(integ_s, "measure_periods", 10, "integration"),
         max_periods=_integer(integ_s, "max_periods", 200, "integration"),
-        convergence_tol=float(integ_s.get("convergence_tol", 1e-4)),
+        convergence_tol=_number(integ_s, "convergence_tol", "integration", 1e-4),
     )
 
     seed = _integer(data, "seed", 0, "top level")
     if seed < 0:
         raise InvalidInputError(f"config top level: seed must be >= 0, got {seed}")
     model = Model(environment, flap, coefficients, transfer, pto, integration)
-    return RunConfig(model=model, output_dir=str(data.get("output_dir", "out")), seed=seed)
+    output_dir = data.get("output_dir", "out")
+    if not isinstance(output_dir, str):
+        raise InvalidInputError(
+            f"config top level: output_dir must be a string, got {output_dir!r}"
+        )
+    return RunConfig(model=model, output_dir=output_dir, seed=seed)
 
 
 def with_coupling_disabled(model: Model) -> Model:

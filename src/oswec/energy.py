@@ -24,7 +24,7 @@ from .dynamics import (
     integrate,
     response_metrics,
 )
-from .errors import InvalidInputError, NumericalError, open_input
+from .errors import InvalidInputError, NumericalError, format_number, open_input
 from .forcing import (
     ExcitationTransfer,
     Scenario,
@@ -454,58 +454,43 @@ def annual_energy(pm: PowerMatrix, jpd: JPD) -> float:
     return float(_energy_wh(pm, jpd).sum()) / 1e9
 
 
-def _fmt(x) -> str:
-    return format(float(x), ".12g")
-
-
-def write_power_matrix_csv(pm: PowerMatrix, jpd: JPD | None, path) -> None:
+def write_power_matrix_csv(pm: PowerMatrix, jpd: JPD, path) -> None:
     """Long-form CSV of a power matrix, one row per cell, units in headers."""
-    n_flaps = pm.power_per_flap.shape[2]
-    flap_cols = (
-        ["power_front_W", "power_back_W"] if n_flaps == 2 else ["power_W"]
-    )
+    energy = _energy_wh(pm, jpd)
+    dual = pm.power_per_flap.shape[2] == 2
+    flap_cols = ["power_front_W", "power_back_W"] if dual else ["power_W"]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["hs_m", "te_s", *flap_cols, "power_total_W", "occurrence_fraction", "energy_Wh", "steady", "computed"]
         )
-        total_energy = 0.0
-        for i in range(pm.hs_bins.size):
-            for j in range(pm.te_bins.size):
-                occ = float(jpd.occurrence[i, j]) if jpd is not None else 0.0
-                energy = pm.power_total[i, j] * occ * HOURS_PER_YEAR
-                total_energy += energy
-                writer.writerow(
-                    [
-                        _fmt(pm.hs_bins[i]),
-                        _fmt(pm.te_bins[j]),
-                        *(_fmt(pm.power_per_flap[i, j, f]) for f in range(n_flaps)),
-                        _fmt(pm.power_total[i, j]),
-                        _fmt(occ),
-                        _fmt(energy),
-                        int(pm.steady[i, j]),
-                        int(pm.computed[i, j]),
-                    ]
-                )
-        fh.write(f"# total_annual_energy_GWh={_fmt(total_energy / 1e9)}\n")
+        for i, j in np.ndindex(energy.shape):
+            numbers = (
+                pm.hs_bins[i],
+                pm.te_bins[j],
+                *pm.power_per_flap[i, j],
+                pm.power_total[i, j],
+                jpd.occurrence[i, j],
+                energy[i, j],
+            )
+            writer.writerow(
+                [*map(format_number, numbers), int(pm.steady[i, j]), int(pm.computed[i, j])]
+            )
+        fh.write(f"# total_annual_energy_GWh={format_number(annual_energy(pm, jpd))}\n")
 
 
-def power_matrix_payload(pm: PowerMatrix, jpd: JPD | None) -> dict:
+def power_matrix_payload(pm: PowerMatrix, jpd: JPD) -> dict:
     """JSON-ready dict of a power matrix with its configuration descriptor."""
-    payload = {
+    return {
         "config": dict(pm.config),
-        "hs_bins_m": [float(x) for x in pm.hs_bins],
-        "te_bins_s": [float(x) for x in pm.te_bins],
-        "power_total_W": [[float(x) for x in row] for row in pm.power_total],
-        "power_per_flap_W": [
-            [[float(x) for x in cell] for cell in row] for row in pm.power_per_flap
-        ],
-        "steady": [[bool(x) for x in row] for row in pm.steady],
-        "computed": [[bool(x) for x in row] for row in pm.computed],
+        "hs_bins_m": pm.hs_bins.tolist(),
+        "te_bins_s": pm.te_bins.tolist(),
+        "power_total_W": pm.power_total.tolist(),
+        "power_per_flap_W": pm.power_per_flap.tolist(),
+        "steady": pm.steady.tolist(),
+        "computed": pm.computed.tolist(),
         "errors": list(pm.errors),
+        "occurrence": jpd.occurrence.tolist(),
+        "energy_Wh": _energy_wh(pm, jpd).tolist(),
+        "total_annual_energy_GWh": annual_energy(pm, jpd),
     }
-    if jpd is not None:
-        payload["occurrence"] = [[float(x) for x in row] for row in jpd.occurrence]
-        payload["energy_Wh"] = [[float(x) for x in row] for row in _energy_wh(pm, jpd)]
-        payload["total_annual_energy_GWh"] = annual_energy(pm, jpd)
-    return payload

@@ -9,7 +9,6 @@ heading-angle model (front = index 0, back = index 1).
 
 from __future__ import annotations
 
-import csv
 import enum
 import math
 from dataclasses import dataclass
@@ -17,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import FlapForcing, ForcingSpec
-from .errors import InvalidInputError, open_input
+from .errors import InvalidInputError, read_table
 from .hydro import Environment, solve_dispersion
 
 
@@ -170,31 +169,10 @@ def transfer_at(xfer: ExcitationTransfer, period: float) -> float:
 
 def load_transfer_table(path, eta: float = 0.1) -> ExcitationTransfer:
     """Load a transfer table CSV: period_s,gamma_Nm_per_m."""
-    expected = ["period_s", "gamma_Nm_per_m"]
-    periods: list[float] = []
-    gammas: list[float] = []
-    with open_input(path, "transfer table") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise InvalidInputError(f"{path}: empty transfer table file") from None
-        if [c.strip() for c in header] != expected:
-            raise InvalidInputError(f"{path}: bad header {header!r}, expected {','.join(expected)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 2:
-                raise InvalidInputError(f"{path}:{lineno}: expected 2 columns, got {len(row)}")
-            try:
-                periods.append(float(row[0]))
-                gammas.append(float(row[1]))
-            except ValueError as exc:
-                raise InvalidInputError(f"{path}:{lineno}: {exc}") from None
-    if not periods:
-        raise InvalidInputError(f"{path}: transfer table has no data rows")
+    rows = read_table(path, "transfer table", ["period_s", "gamma_Nm_per_m"])
+    periods, gammas = np.array([values for _, values in rows]).T
     order = np.argsort(periods)
-    return ExcitationTransfer(np.asarray(periods)[order], np.asarray(gammas)[order], eta)
+    return ExcitationTransfer(periods[order], gammas[order], eta)
 
 
 def build_wave_forcing(

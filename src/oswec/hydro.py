@@ -7,13 +7,12 @@ self-contained runs where no tabulated coefficients are available.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InvalidInputError, NumericalError, open_input
+from .errors import InvalidInputError, NumericalError, read_table
 
 DEEP = "deep"
 
@@ -32,17 +31,14 @@ class Environment:
         if not (math.isfinite(self.gravity) and self.gravity > 0.0):
             raise InvalidInputError(f"gravity must be positive and finite, got {self.gravity}")
         if not self.is_deep:
-            try:
-                depth = float(self.water_depth)
-            except (TypeError, ValueError):
-                raise InvalidInputError(
-                    f"water depth must be a number or 'deep', got {self.water_depth!r}"
-                ) from None
+            depth = self.water_depth
+            if isinstance(depth, bool) or not isinstance(depth, (int, float)):
+                raise InvalidInputError(f"water depth must be a number or 'deep', got {depth!r}")
             if not (math.isfinite(depth) and depth > 0.0):
                 raise InvalidInputError(
-                    f"water depth must be positive and finite or 'deep', got {self.water_depth}"
+                    f"water depth must be positive and finite or 'deep', got {depth}"
                 )
-            object.__setattr__(self, "water_depth", depth)
+            object.__setattr__(self, "water_depth", float(depth))
 
     @property
     def is_deep(self) -> bool:
@@ -231,35 +227,18 @@ def load_coefficient_table(path) -> CoefficientTable:
     One row per grid cell; the grids are inferred from the distinct period
     and distance values and every (period, distance) cell must be present.
     """
-    expected = ["period_s", "distance_m", "Ia", "C", "Ia_lr", "C_lr"]
-    cells: dict[tuple[float, float], tuple[float, float, float, float]] = {}
-    with open_input(path, "coefficient table") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise InvalidInputError(f"{path}: empty coefficient table file") from None
-        if [c.strip() for c in header] != expected:
+    columns = ["period_s", "distance_m", "Ia", "C", "Ia_lr", "C_lr"]
+    cells: dict[tuple[float, float], list[float]] = {}
+    for lineno, values in read_table(path, "coefficient table", columns):
+        for name, value in zip(columns[:2], values):
+            if not math.isfinite(value):
+                raise InvalidInputError(f"{path}:{lineno}: {name} {value} is not finite")
+        key = (values[0], values[1])
+        if key in cells:
             raise InvalidInputError(
-                f"{path}: bad header {header!r}, expected {','.join(expected)}"
+                f"{path}:{lineno}: duplicate cell for period={key[0]}, distance={key[1]}"
             )
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 6:
-                raise InvalidInputError(f"{path}:{lineno}: expected 6 columns, got {len(row)}")
-            try:
-                values = [float(c) for c in row]
-            except ValueError as exc:
-                raise InvalidInputError(f"{path}:{lineno}: {exc}") from None
-            key = (values[0], values[1])
-            if key in cells:
-                raise InvalidInputError(
-                    f"{path}:{lineno}: duplicate cell for period={key[0]}, distance={key[1]}"
-                )
-            cells[key] = tuple(values[2:])
-    if not cells:
-        raise InvalidInputError(f"{path}: coefficient table has no data rows")
+        cells[key] = values[2:]
 
     periods = np.array(sorted({p for p, _ in cells}))
     distances = np.array(sorted({d for _, d in cells}))

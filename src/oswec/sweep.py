@@ -8,14 +8,13 @@ for a given plan and model.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .energy import CaseResult, Model, evaluate_linear, failure_text, run_torque_case, run_wave_case
-from .errors import InvalidInputError
+from .errors import InvalidInputError, format_number, write_json
 from .forcing import Scenario, TorqueScenario, WaveCondition
 from .hydro import solve_dispersion
 
@@ -107,16 +106,11 @@ class SweepReport:
             for ax in self.axes[:-1]:
                 node = node.setdefault(_axis_key(row[ax]), {})
             node[_axis_key(row[self.axes[-1]])] = row
-        payload = {"study": self.study, "config": self.config, "rows": nested}
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        write_json(path, {"study": self.study, "config": self.config, "rows": nested})
 
 
 def _csv_value(value):
-    if isinstance(value, float):
-        return format(value, ".12g")
-    return value
+    return format_number(value) if isinstance(value, float) else value
 
 
 def _axis_key(value) -> str:

@@ -189,7 +189,7 @@ class TestNonFiniteInputs:
 
 
 class TestStrictTypes:
-    """Booleans and integers are taken as written, never coerced."""
+    """Every value and section is taken as written, never coerced."""
 
     @pytest.mark.parametrize(
         "overrides, match",
@@ -207,6 +207,21 @@ class TestStrictTypes:
             ({"integration": {"ramp_periods": True}}, "ramp_periods"),
             ({"seed": -1}, "seed"),
             ({"seed": 1.5}, "seed"),
+            ({"environment": {"gravity_m_per_s2": "9.81"}}, "gravity_m_per_s2"),
+            ({"environment": {"gravity_m_per_s2": True}}, "gravity_m_per_s2"),
+            ({"environment": {"water_depth_m": "10"}}, "water depth"),
+            ({"environment": {"water_depth_m": True}}, "water depth"),
+            ({"flap": {**FLAP, "inertia_dry_kg_m2": "8e6"}}, "inertia_dry_kg_m2"),
+            ({"pto": {"damping_Nm_s_per_rad": "5e5"}}, "damping_Nm_s_per_rad"),
+            ({"coefficients": {"analytic": {**ANALYTIC, "alpha": True}}}, "alpha"),
+            ({"coefficients": {"analytic": {**ANALYTIC, "eps": "0.1"}}}, "eps"),
+            ({"transfer": {"gamma_Nm_per_m": "1e6"}}, "gamma_Nm_per_m"),
+            ({"transfer": {"gamma_Nm_per_m": 1e6, "eta": False}}, "eta"),
+            ({"integration": {"convergence_tol": "1e-4"}}, "convergence_tol"),
+            ({"output_dir": 5}, "output_dir"),
+            ({"integration": [1]}, "'integration' must be an object"),
+            ({"integration": None}, "'integration' must be an object"),
+            ({"coefficients": {"analytic": [1]}}, "'analytic' must be an object"),
         ],
         ids=[
             "bool_string",
@@ -216,6 +231,21 @@ class TestStrictTypes:
             "bool_periods",
             "negative_seed",
             "fractional_seed",
+            "string_gravity",
+            "bool_gravity",
+            "string_depth",
+            "bool_depth",
+            "string_inertia",
+            "string_pto_damping",
+            "bool_alpha",
+            "string_eps",
+            "string_gamma",
+            "bool_eta",
+            "string_tol",
+            "int_output_dir",
+            "list_integration",
+            "null_integration",
+            "list_analytic",
         ],
     )
     def test_config_value_rejected(self, tmp_path, capsys, overrides, match):

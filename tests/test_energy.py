@@ -21,6 +21,7 @@ from oswec.dynamics import (
 from oswec.energy import (
     JPD,
     Design,
+    PowerMatrix,
     PTOModel,
     annual_energy,
     compute_power_matrix,
@@ -312,6 +313,25 @@ class TestPowerMatrix:
         assert payload["total_annual_energy_GWh"] == pytest.approx(
             annual_energy(pm, jpd)
         )
+
+    def test_writers_reject_misaligned_jpd(self, tmp_path):
+        pm = PowerMatrix(
+            hs_bins=np.array([1.0]),
+            te_bins=np.array([8.0, 9.0]),
+            power_per_flap=np.full((1, 2, 2), 1.0e5),
+            power_total=np.full((1, 2), 2.0e5),
+            steady=np.ones((1, 2), dtype=bool),
+            computed=np.ones((1, 2), dtype=bool),
+            errors=(),
+            config={},
+        )
+        jpd = JPD(np.array([1.0, 2.0]), np.array([8.0, 9.0]), np.full((2, 2), 0.25))
+        csv_path = tmp_path / "pm.csv"
+        with pytest.raises(InvalidInputError, match="bin axes do not match"):
+            write_power_matrix_csv(pm, jpd, csv_path)
+        assert not csv_path.exists()
+        with pytest.raises(InvalidInputError, match="bin axes do not match"):
+            power_matrix_payload(pm, jpd)
 
     def test_wave_case_against_oracle(self, fast_reference):
         # one dual run cross-checked against the frequency-domain power
