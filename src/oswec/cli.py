@@ -59,7 +59,7 @@ def _float_list(text: str) -> tuple[float, ...]:
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="oswec", description=__doc__.splitlines()[0])
     parser.add_argument("config", help="path to the run-configuration JSON file")
-    parser.add_argument("--out", help="output directory (overrides the config)")
+    parser.add_argument("--out", help="output directory (default: the config's output_dir)")
     parser.add_argument(
         "--workers",
         type=int,
@@ -203,37 +203,31 @@ def _write_timeseries(record, path) -> None:
             writer.writerow([format(record.time[i], ".9g"), *states])
 
 
-# the sweep flags each study reads; any other flag given is an error
+# the plan field each sweep flag sets, per study; any other flag given is an error
 _SWEEP_FLAGS = {
-    "torque": ("distances", "periods", "amplitudes"),
-    "wave": ("distances", "periods", "heights"),
-    "heading": ("headings",),
+    "torque": {
+        "distances": "distances",
+        "periods": "torque_periods",
+        "amplitudes": "torque_amplitudes",
+    },
+    "wave": {"distances": "distances", "periods": "wave_periods", "heights": "wave_heights"},
+    "heading": {"headings": "headings"},
 }
 
 
 def _cmd_sweep(args, run_config: RunConfig, out_dir: str) -> int:
-    ignored = [
-        f"--{flag}"
+    fields = _SWEEP_FLAGS[args.study]
+    given = [
+        flag
         for flag in ("distances", "periods", "amplitudes", "heights", "headings")
-        if getattr(args, flag) is not None and flag not in _SWEEP_FLAGS[args.study]
+        if getattr(args, flag) is not None
     ]
+    ignored = [f"--{flag}" for flag in given if flag not in fields]
     if ignored:
         raise InvalidInputError(
             f"sweep --study {args.study} does not read {', '.join(ignored)}"
         )
-    overrides = {}
-    if args.distances is not None:
-        overrides["distances"] = args.distances
-    if args.periods is not None:
-        overrides["torque_periods"] = args.periods
-        overrides["wave_periods"] = args.periods
-    if args.amplitudes is not None:
-        overrides["torque_amplitudes"] = args.amplitudes
-    if args.heights is not None:
-        overrides["wave_heights"] = args.heights
-    if args.headings is not None:
-        overrides["headings"] = args.headings
-    plan = SweepPlan(**overrides)
+    plan = SweepPlan(**{fields[flag]: getattr(args, flag) for flag in given})
 
     model = run_config.model
     if args.study == "torque":

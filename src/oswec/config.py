@@ -77,6 +77,7 @@ def _integer(section: dict, key: str, default: int, context: str) -> int:
         isinstance(value, int) or (isinstance(value, float) and value.is_integer())
     ):
         raise InvalidInputError(f"config {context}: {key} must be an integer, got {value!r}")
+    _number(section, key, context, default)  # an integer beyond the float range is rejected
     return int(value)
 
 
@@ -85,7 +86,10 @@ def _number(section: dict, key: str, context: str, default: float | None = None)
     value = _require(section, key, context) if default is None else section.get(key, default)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise InvalidInputError(f"config {context}: {key} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise InvalidInputError(f"config {context}: {key} lies beyond the float range") from None
 
 
 def _section(data: dict, key: str, context: str = "top level") -> dict:
@@ -101,10 +105,11 @@ def load_run_config(path) -> RunConfig:
     Referenced files (coefficient table, transfer table) are resolved
     relative to the configuration file's directory and must exist.
     """
+    with open_input(path, "config") as fh:
+        text = fh.read()
     try:
-        with open_input(path, "config") as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
+        data = json.loads(text)
+    except ValueError as exc:  # a JSONDecodeError, or an integer literal over the digit limit
         raise InvalidInputError(f"config file {path} is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise InvalidInputError(f"config file {path} must hold a JSON object")
@@ -113,7 +118,7 @@ def load_run_config(path) -> RunConfig:
         return _parse_run_config(data, base_dir)
     except InvalidInputError:
         raise
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidInputError(f"config file {path}: {exc}") from None
 
 

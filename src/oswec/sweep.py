@@ -11,8 +11,6 @@ import csv
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .energy import CaseResult, Model, evaluate_linear, failure_text, run_torque_case, run_wave_case
 from .errors import InvalidInputError, format_number, write_json
 from .forcing import Scenario, TorqueScenario, WaveCondition
@@ -51,23 +49,14 @@ class SweepPlan:
     scenarios: tuple[Scenario, ...] = DEFAULT_SCENARIOS
 
     def __post_init__(self):
-        for name in (
-            "distances",
-            "torque_periods",
-            "wave_periods",
-            "torque_amplitudes",
-            "wave_heights",
-            "scenarios",
-        ):
-            values = getattr(self, name)
+        for name, values in vars(self).items():
             if len(values) == 0:
                 raise InvalidInputError(f"sweep plan axis {name} is empty")
-            if name != "scenarios" and not all(math.isfinite(v) and v > 0.0 for v in values):
+            if name == "headings":
+                if any(not 0.0 <= b < 90.0 for b in values):
+                    raise InvalidInputError("headings must lie in [0, 90) degrees")
+            elif name != "scenarios" and not all(math.isfinite(v) and v > 0.0 for v in values):
                 raise InvalidInputError(f"sweep plan axis {name} must be positive and finite")
-        if len(self.headings) == 0:
-            raise InvalidInputError("sweep plan axis headings is empty")
-        if any(not 0.0 <= b < 90.0 for b in self.headings):
-            raise InvalidInputError("headings must lie in [0, 90) degrees")
         for name, values in vars(self).items():
             repeats = [v for i, v in enumerate(values) if v in values[:i]]
             if repeats:
@@ -79,7 +68,8 @@ class SweepPlan:
 @dataclass
 class SweepReport:
     """Ordered rows of one study, the column names they share, and the grid
-    axes (outermost first) that nest the rows in the JSON report."""
+    axes (outermost first, the leading columns) that nest the rows in the
+    JSON report."""
 
     study: str
     columns: tuple[str, ...]
@@ -133,31 +123,63 @@ def _ratio(value: float, reference: float) -> float:
     return value / reference if reference != 0.0 else math.nan
 
 
+def _pair_columns(names: tuple[str, str], baseline: bool) -> tuple[str, ...]:
+    """The columns ``_pair_fields`` fills, in its order."""
+    columns = [
+        f"{name}_{metric}"
+        for name in names
+        for metric in ("rms_rad", "amplitude_rad", "phase_rad", "power_W")
+    ]
+    if baseline:
+        columns += ["single_rms_rad", "single_amplitude_rad", "single_power_W"]
+        columns += [f"{name}_rms_ratio" for name in names]
+    return tuple(columns)
+
+
 def _pair_fields(names: tuple[str, str], result: CaseResult, base: CaseResult | None) -> dict:
     """Both flaps' metrics; with a single-flap ``base``, also the baseline
     and each flap's RMS ratio to it."""
-    fields = {}
-    for index, name in enumerate(names):
-        fields[f"{name}_rms_rad"] = float(result.metrics.rms_rotation[index])
-        fields[f"{name}_amplitude_rad"] = float(result.metrics.amplitude[index])
-        fields[f"{name}_phase_rad"] = float(result.metrics.phase[index])
-        fields[f"{name}_power_W"] = float(result.power[index])
+    m = result.metrics
+    values = [
+        float(column[index])
+        for index in range(len(names))
+        for column in (m.rms_rotation, m.amplitude, m.phase, result.power)
+    ]
     if base is not None:
         single_rms = float(base.metrics.rms_rotation[0])
-        fields["single_rms_rad"] = single_rms
-        fields["single_amplitude_rad"] = float(base.metrics.amplitude[0])
-        fields["single_power_W"] = float(base.power[0])
-        for name in names:
-            fields[f"{name}_rms_ratio"] = _ratio(fields[f"{name}_rms_rad"], single_rms)
-    return fields
+        values += [single_rms, float(base.metrics.amplitude[0]), float(base.power[0])]
+        values += [_ratio(float(m.rms_rotation[i]), single_rms) for i in range(len(names))]
+    return dict(zip(_pair_columns(names, base is not None), values))
 
 
-def _baseline(outcome: CaseResult | Exception) -> CaseResult:
-    """A baseline's outcome. A failed baseline fails the whole study with
-    its own exception (a NumericalError exits 2)."""
+def _run_against(fn, model: Model, grid: list, baseline_of) -> list:
+    """``(case, outcome, baseline outcome)`` for each grid case, in grid
+    order; the baseline of a case is the case ``baseline_of(case)``.
+
+    Every distinct case runs once, baselines first, in one
+    ``evaluate_linear`` batch. A failed baseline fails the whole study with
+    its own exception (a NumericalError exits 2).
+    """
+    baselines = [baseline_of(case) for case in grid]
+    cases = list(dict.fromkeys(baselines + grid))
+    outcomes = dict(zip(cases, evaluate_linear(fn, model, cases)))
+    for base in baselines:
+        if isinstance(outcomes[base], Exception):
+            raise outcomes[base]
+    return [(case, outcomes[case], outcomes[base]) for case, base in zip(grid, baselines)]
+
+
+def _row(axes: dict, names: tuple[str, str], outcome, base, extra=None) -> dict:
+    """A report row: the grid ``axes`` and the error text; for a case that
+    ran, also both flaps against ``base`` (``_pair_fields``), the study's
+    ``extra(outcome)`` fields and whether the case and its base were steady."""
     if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
+        return {**axes, "error": failure_text(outcome)}
+    row = {**axes, "error": "", **_pair_fields(names, outcome, base)}
+    if extra is not None:
+        row.update(extra(outcome))
+    row["steady"] = outcome.metrics.steady and (base is None or base.metrics.steady)
+    return row
 
 
 TORQUE_COLUMNS = (
@@ -166,19 +188,7 @@ TORQUE_COLUMNS = (
     "period_s",
     "torque_Nm",
     "d_over_lambda",
-    "left_rms_rad",
-    "left_amplitude_rad",
-    "left_phase_rad",
-    "left_power_W",
-    "right_rms_rad",
-    "right_amplitude_rad",
-    "right_phase_rad",
-    "right_power_W",
-    "single_rms_rad",
-    "single_amplitude_rad",
-    "single_power_W",
-    "left_rms_ratio",
-    "right_rms_ratio",
+    *_pair_columns(("left", "right"), True),
     "steady",
     "error",
 )
@@ -192,44 +202,29 @@ def run_torque_study(plan: SweepPlan, model: Model) -> SweepReport:
     (``evaluate_linear``). The single baseline is shared across scenarios
     and distances.
     """
-    singles = [
-        TorqueScenario(Scenario.SINGLE, amplitude, period)
-        for period in plan.torque_periods
-        for amplitude in plan.torque_amplitudes
-    ]
     grid = [
-        TorqueScenario(variant, amplitude, period, d)
+        (TorqueScenario(variant, amplitude, period, d),)
         for variant in plan.scenarios
         for d in plan.distances
         for period in plan.torque_periods
         for amplitude in plan.torque_amplitudes
     ]
-    outcomes = evaluate_linear(run_torque_case, model, [(s,) for s in singles + grid])
-    baselines = {
-        (single.period, single.amplitude): _baseline(outcome)
-        for single, outcome in zip(singles, outcomes)
-    }
-    outcomes = outcomes[len(singles):]
 
-    report = SweepReport(
-        "torque", TORQUE_COLUMNS, ("scenario", "distance_m", "period_s", "torque_Nm")
-    )
-    for scenario, outcome in zip(grid, outcomes):
+    def single(case):
+        return (TorqueScenario(Scenario.SINGLE, case[0].amplitude, case[0].period),)
+
+    runs = _run_against(run_torque_case, model, grid, single)
+    report = SweepReport("torque", TORQUE_COLUMNS, TORQUE_COLUMNS[:4])
+    for (scenario,), outcome, base in runs:
         lam = 2.0 * math.pi / solve_dispersion(scenario.period, model.environment)
-        failed = isinstance(outcome, Exception)
-        row: dict = {
+        axes = {
             "scenario": scenario.variant.value,
             "distance_m": float(scenario.distance),
             "period_s": float(scenario.period),
             "torque_Nm": float(scenario.amplitude),
             "d_over_lambda": scenario.distance / lam,
-            "error": failure_text(outcome) if failed else "",
         }
-        if not failed:
-            base = baselines[(scenario.period, scenario.amplitude)]
-            row.update(_pair_fields(("left", "right"), outcome, base))
-            row["steady"] = outcome.metrics.steady and base.metrics.steady
-        report.rows.append(row)
+        report.rows.append(_row(axes, ("left", "right"), outcome, base))
     return report
 
 
@@ -239,19 +234,7 @@ WAVE_COLUMNS = (
     "height_m",
     "d_over_lambda",
     "band",
-    "front_rms_rad",
-    "front_amplitude_rad",
-    "front_phase_rad",
-    "front_power_W",
-    "back_rms_rad",
-    "back_amplitude_rad",
-    "back_phase_rad",
-    "back_power_W",
-    "single_rms_rad",
-    "single_amplitude_rad",
-    "single_power_W",
-    "front_rms_ratio",
-    "back_rms_ratio",
+    *_pair_columns(("front", "back"), True),
     "total_power_W",
     "steady",
     "error",
@@ -265,43 +248,29 @@ def run_wave_study(plan: SweepPlan, model: Model) -> SweepReport:
     integrated once at unit wave height and scaled to every height
     (``evaluate_linear``).
     """
-    singles = [
-        (WaveCondition(height, period), 0.0, False)
-        for period in plan.wave_periods
-        for height in plan.wave_heights
-    ]
     grid = [
         (WaveCondition(height, period), d, True)
         for d in plan.distances
         for period in plan.wave_periods
         for height in plan.wave_heights
     ]
-    outcomes = evaluate_linear(run_wave_case, model, singles + grid)
-    baselines = {
-        (single[0].period, single[0].height): _baseline(outcome)
-        for single, outcome in zip(singles, outcomes)
-    }
-    outcomes = outcomes[len(singles):]
+    runs = _run_against(run_wave_case, model, grid, lambda case: (case[0], 0.0, False))
 
-    report = SweepReport("wave", WAVE_COLUMNS, ("distance_m", "period_s", "height_m"))
-    for (wave, d, _), outcome in zip(grid, outcomes):
+    def total_power(result):
+        return {"total_power_W": result.total_power}
+
+    report = SweepReport("wave", WAVE_COLUMNS, WAVE_COLUMNS[:3])
+    for (wave, d, _), outcome, base in runs:
         lam = 2.0 * math.pi / solve_dispersion(wave.period, model.environment)
         ratio = d / lam
-        failed = isinstance(outcome, Exception)
-        row: dict = {
+        axes = {
             "distance_m": float(d),
             "period_s": float(wave.period),
             "height_m": float(wave.height),
             "d_over_lambda": ratio,
             "band": classify_band(ratio),
-            "error": failure_text(outcome) if failed else "",
         }
-        if not failed:
-            base = baselines[(wave.period, wave.height)]
-            row.update(_pair_fields(("front", "back"), outcome, base))
-            row["total_power_W"] = outcome.total_power
-            row["steady"] = outcome.metrics.steady and base.metrics.steady
-        report.rows.append(row)
+        report.rows.append(_row(axes, ("front", "back"), outcome, base, total_power))
     return report
 
 
@@ -310,14 +279,7 @@ HEADING_COLUMNS = (
     "distance_m",
     "period_s",
     "height_m",
-    "front_rms_rad",
-    "front_amplitude_rad",
-    "front_phase_rad",
-    "front_power_W",
-    "back_rms_rad",
-    "back_amplitude_rad",
-    "back_phase_rad",
-    "back_power_W",
+    *_pair_columns(("front", "back"), False),
     "total_power_W",
     "power_loss_fraction",
     "steady",
@@ -332,41 +294,25 @@ def run_heading_study(plan: SweepPlan, model: Model) -> SweepReport:
     The loss fraction of each row is relative to the zero-heading run of
     the same configuration (the zero-heading row itself is exactly 0).
     """
-    waves = [
-        WaveCondition(HEADING_HEIGHT, HEADING_PERIOD, float(beta)) for beta in plan.headings
+    grid = [
+        (WaveCondition(HEADING_HEIGHT, HEADING_PERIOD, float(beta)), HEADING_DISTANCE, True)
+        for beta in plan.headings
     ]
-    batch = list(waves)
-    if 0.0 not in plan.headings:
-        batch.append(WaveCondition(HEADING_HEIGHT, HEADING_PERIOD, 0.0))
-    cases = [(wave, HEADING_DISTANCE, True) for wave in batch]
-    outcomes = evaluate_linear(run_wave_case, model, cases)
-    zero = next(
-        _baseline(outcome)
-        for case, outcome in zip(cases, outcomes)
-        if case[0].heading_deg == 0.0
-    )
-
-    report = SweepReport("heading", HEADING_COLUMNS, ("heading_deg",))
-    for wave, outcome in zip(waves, outcomes):
+    zero_case = (WaveCondition(HEADING_HEIGHT, HEADING_PERIOD, 0.0), HEADING_DISTANCE, True)
+    runs = _run_against(run_wave_case, model, grid, lambda case: zero_case)
+    report = SweepReport("heading", HEADING_COLUMNS, HEADING_COLUMNS[:1])
+    for (wave, _, _), outcome, zero in runs:
         beta = wave.heading_deg
-        failed = isinstance(outcome, Exception)
-        row: dict = {
+        axes = {
             "heading_deg": beta,
             "distance_m": HEADING_DISTANCE,
             "period_s": HEADING_PERIOD,
             "height_m": HEADING_HEIGHT,
-            "error": failure_text(outcome) if failed else "",
         }
-        if not failed:
-            row.update(_pair_fields(("front", "back"), outcome, None))
-            row.update(
-                {
-                    "total_power_W": outcome.total_power,
-                    "power_loss_fraction": (
-                        0.0 if beta == 0.0 else 1.0 - _ratio(outcome.total_power, zero.total_power)
-                    ),
-                    "steady": outcome.metrics.steady,
-                }
-            )
-        report.rows.append(row)
+
+        def extra(result):
+            loss = 0.0 if beta == 0.0 else 1.0 - _ratio(result.total_power, zero.total_power)
+            return {"total_power_W": result.total_power, "power_loss_fraction": loss}
+
+        report.rows.append(_row(axes, ("front", "back"), outcome, None, extra))
     return report

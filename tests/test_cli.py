@@ -321,12 +321,15 @@ class TestUsageErrors:
              ("wave height", "inf")),
             (["simulate", "--scenario", "single", "--Te", "8.5", "--T0", "inf"],
              ("torque amplitude", "inf")),
+            (["sweep", "--study", "wave", "--periods", "8.5,8.5"], ("wave_periods", "8.5")),
+            (["sweep", "--study", "wave", "--periods", "0"], ("wave_periods", "finite")),
         ],
         ids=["workers-0", "workers-negative", "sweep-distances", "sweep-periods",
              "sweep-amplitudes", "sweep-heights", "sweep-headings", "aep-distances",
              "aep-distances-inf", "sweep-distances-inf", "sweep-heights-inf",
              "sweep-amplitudes-inf", "simulate-d-inf", "simulate-wave-d-inf",
-             "simulate-H-inf", "simulate-T0-inf"],
+             "simulate-H-inf", "simulate-T0-inf", "sweep-wave-periods",
+             "sweep-wave-periods-zero"],
     )
     def test_bad_input_exits_1_before_any_case(
         self, fast_config, data_dir, monkeypatch, capsys, args, named

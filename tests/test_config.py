@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import pytest
 
@@ -26,7 +27,12 @@ def write_config(path, **overrides):
         "seed": 0,
     }
     data.update(overrides)
-    path.write_text(json.dumps(data))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # a case may write an integer past the int-to-str digit limit
+    try:
+        path.write_text(json.dumps(data))
+    finally:
+        sys.set_int_max_str_digits(limit)
     return path
 
 
@@ -222,6 +228,10 @@ class TestStrictTypes:
             ({"integration": [1]}, "'integration' must be an object"),
             ({"integration": None}, "'integration' must be an object"),
             ({"coefficients": {"analytic": [1]}}, "'analytic' must be an object"),
+            ({"flap": {**FLAP, "inertia_dry_kg_m2": 10**399}}, "inertia_dry_kg_m2"),
+            ({"flap": {**FLAP, "inertia_dry_kg_m2": 10**4999}}, "not valid JSON"),
+            ({"integration": {"steps_per_period": 10**399}}, "steps_per_period"),
+            ({"environment": {"water_depth_m": 10**399}}, "too large"),
         ],
         ids=[
             "bool_string",
@@ -246,6 +256,10 @@ class TestStrictTypes:
             "list_integration",
             "null_integration",
             "list_analytic",
+            "huge_inertia",
+            "over_digit_limit",
+            "huge_steps",
+            "huge_depth",
         ],
     )
     def test_config_value_rejected(self, tmp_path, capsys, overrides, match):

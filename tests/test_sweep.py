@@ -385,6 +385,25 @@ class TestHeadingStudy:
             r["power_loss_fraction"] for r in with_zero.rows[1:]
         ]
 
+    def test_zero_heading_in_the_grid_runs_once(self, reference, monkeypatch):
+        # under this tolerance no key reaches steady state, so each heading
+        # runs at unit height and then on its own: 2 runs per heading, and
+        # the zero heading, which is also the baseline, is not queued twice
+        calls = []
+        real = sweep_mod.run_wave_case
+
+        def counting(model, wave, distance, dual):
+            calls.append(wave.heading_deg)
+            return real(model, wave, distance, dual)
+
+        monkeypatch.setattr(sweep_mod, "run_wave_case", counting)
+        cfg = IntegrationConfig(steps_per_period=40, ramp_periods=3, measure_periods=3,
+                                max_periods=6, convergence_tol=1e-12)
+        plan = SweepPlan(headings=(0.0, 10.0, 20.0))
+        rows = run_heading_study(plan, replace(reference, integration=cfg)).rows
+        assert [row["steady"] for row in rows] == [False] * 3
+        assert sorted(calls) == [0.0, 0.0, 10.0, 10.0, 20.0, 20.0]
+
 
 class TestFiniteDepth:
     def test_wave_study_runs_at_finite_depth(self, fast_reference):
@@ -447,3 +466,83 @@ class TestReports:
             SweepPlan(wave_periods=(0.0,))
         with pytest.raises(InvalidInputError):
             SweepPlan(headings=(95.0,))
+
+
+# each study's CSV header and its number of grid-axis columns; a JSON row
+# holds the axes, then "error", then the other columns with "steady" last
+LAYOUTS = {
+    "torque": (
+        ["scenario", "distance_m", "period_s", "torque_Nm", "d_over_lambda",
+         "left_rms_rad", "left_amplitude_rad", "left_phase_rad", "left_power_W",
+         "right_rms_rad", "right_amplitude_rad", "right_phase_rad", "right_power_W",
+         "single_rms_rad", "single_amplitude_rad", "single_power_W",
+         "left_rms_ratio", "right_rms_ratio", "steady", "error"],
+        5,
+    ),
+    "wave": (
+        ["distance_m", "period_s", "height_m", "d_over_lambda", "band",
+         "front_rms_rad", "front_amplitude_rad", "front_phase_rad", "front_power_W",
+         "back_rms_rad", "back_amplitude_rad", "back_phase_rad", "back_power_W",
+         "single_rms_rad", "single_amplitude_rad", "single_power_W",
+         "front_rms_ratio", "back_rms_ratio", "total_power_W", "steady", "error"],
+        5,
+    ),
+    "heading": (
+        ["heading_deg", "distance_m", "period_s", "height_m",
+         "front_rms_rad", "front_amplitude_rad", "front_phase_rad", "front_power_W",
+         "back_rms_rad", "back_amplitude_rad", "back_phase_rad", "back_power_W",
+         "total_power_W", "power_loss_fraction", "steady", "error"],
+        4,
+    ),
+}
+
+
+def json_rows(node):
+    if "error" in node:
+        return [node]
+    return [row for child in node.values() for row in json_rows(child)]
+
+
+class TestReportLayout:
+    """Column order of the CSV report and key order of the JSON rows."""
+
+    @pytest.mark.parametrize("study", ["torque", "wave", "heading"])
+    def test_csv_header_and_json_key_order(self, study, fast_reference, monkeypatch, tmp_path):
+        import json
+
+        # the second grid case of each study fails; the first runs
+        real_torque, real_wave = sweep_mod.run_torque_case, sweep_mod.run_wave_case
+
+        def torque_case(model, scenario):
+            if scenario.variant is not Scenario.SINGLE and scenario.period == 9.5:
+                raise RuntimeError("boom")
+            return real_torque(model, scenario)
+
+        def wave_case(model, wave, distance, dual):
+            if dual and (wave.period == 9.5 or wave.heading_deg == 30.0):
+                raise RuntimeError("boom")
+            return real_wave(model, wave, distance, dual)
+
+        monkeypatch.setattr(sweep_mod, "run_torque_case", torque_case)
+        monkeypatch.setattr(sweep_mod, "run_wave_case", wave_case)
+        plan = SweepPlan(
+            distances=(45.0,),
+            torque_periods=(8.5, 9.5),
+            torque_amplitudes=(0.6e6,),
+            scenarios=(Scenario.IN_PHASE,),
+            wave_periods=(8.5, 9.5),
+            wave_heights=(1.75,),
+            headings=(0.0, 30.0),
+        )
+        run = {"torque": run_torque_study, "wave": run_wave_study, "heading": run_heading_study}
+        report = run[study](plan, fast_reference)
+        report.to_csv(tmp_path / "report.csv")
+        report.to_json(tmp_path / "report.json")
+
+        header, n_axes = LAYOUTS[study]
+        assert (tmp_path / "report.csv").read_text().splitlines()[1].split(",") == header
+        good, bad = json_rows(json.loads((tmp_path / "report.json").read_text())["rows"])
+        axes, fields = header[:n_axes], header[n_axes:-2]
+        assert list(good) == axes + ["error"] + fields + ["steady"]
+        assert list(bad) == axes + ["error"]
+        assert (good["error"], bad["error"]) == ("", "RuntimeError: boom")
