@@ -191,10 +191,8 @@ def _cmd_simulate(args, run_config: RunConfig, out_dir: str) -> int:
 
 
 def _write_timeseries(record, path) -> None:
-    dual = record.dof == 2
-    header = (
-        ["t", "theta_l", "theta_r", "omega_l", "omega_r"] if dual else ["t", "theta_l", "omega_l"]
-    )
+    sides = ("l", "r")[: record.dof]
+    header = ["t", *(f"theta_{s}" for s in sides), *(f"omega_{s}" for s in sides)]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -254,27 +252,35 @@ def _cmd_aep(args, run_config: RunConfig, out_dir: str) -> int:
     plan = SweepPlan() if args.distances is None else SweepPlan(distances=args.distances)
     model = run_config.model
 
-    rows = []
-    single_design = Design(model, distance=0.0, heading_deg=args.heading, dual=False)
-    single_pm = compute_power_matrix(single_design, jpd.hs_bins, jpd.te_bins, jpd.occurrence)
-    os.makedirs(out_dir, exist_ok=True)
-    _write_power_matrix(single_pm, jpd, out_dir, "single")
-    rows.append(
-        {
-            "label": "single_doubled",
-            "distance_m": "",
-            "annual_energy_GWh": 2.0 * annual_energy(single_pm, jpd),
-        }
-    )
+    # the single flap first, its energy doubled, then the pair at each distance:
+    # (file tag, row label, row distance, design)
+    single = Design(model, 0.0, args.heading, dual=False)
+    designs = [("single", "single_doubled", "", single)]
     for d in plan.distances:
-        design = Design(model, distance=float(d), heading_deg=args.heading, dual=True)
+        tag = f"d{format(float(d), 'g')}"
+        designs.append((tag, f"dual_{tag}", float(d), Design(model, float(d), args.heading)))
+    rows = []
+    for tag, label, distance, design in designs:
         pm = compute_power_matrix(design, jpd.hs_bins, jpd.te_bins, jpd.occurrence)
-        _write_power_matrix(pm, jpd, out_dir, f"d{format(float(d), 'g')}")
+        # counted in Python: a numpy sum over bools adds ~0.1 MiB to the peak
+        # RSS; only a computed cell can be steady
+        computed = sum(map(sum, pm.computed.tolist()))
+        not_steady = computed - sum(map(sum, pm.steady.tolist()))
+        if not_steady or pm.errors:
+            print(
+                f"oswec: {label}: {not_steady} of {computed + len(pm.errors)} "
+                f"cells not steady, {len(pm.errors)} failed",
+                file=sys.stderr,
+            )
+        os.makedirs(out_dir, exist_ok=True)
+        write_power_matrix_csv(pm, jpd, os.path.join(out_dir, f"power_matrix_{tag}.csv"))
+        write_json(os.path.join(out_dir, f"power_matrix_{tag}.json"), power_matrix_payload(pm, jpd))
+        energy = annual_energy(pm, jpd)
         rows.append(
             {
-                "label": f"dual_d{format(float(d), 'g')}",
-                "distance_m": float(d),
-                "annual_energy_GWh": annual_energy(pm, jpd),
+                "label": label,
+                "distance_m": distance,
+                "annual_energy_GWh": energy if design.dual else 2.0 * energy,
             }
         )
 
@@ -296,7 +302,7 @@ def _cmd_aep(args, run_config: RunConfig, out_dir: str) -> int:
         {
             "jpd_file": os.path.abspath(args.jpd),
             "heading_deg": args.heading,
-            "config": single_pm.config,
+            "config": single.describe(),
             "rows": rows,
         },
     )
@@ -304,11 +310,6 @@ def _cmd_aep(args, run_config: RunConfig, out_dir: str) -> int:
         print(f"{row['label']}: {row['annual_energy_GWh']:.4f} GWh")
     print(f"-> {table_csv}, {table_json}")
     return EXIT_OK
-
-
-def _write_power_matrix(pm, jpd, out_dir: str, tag: str) -> None:
-    write_power_matrix_csv(pm, jpd, os.path.join(out_dir, f"power_matrix_{tag}.csv"))
-    write_json(os.path.join(out_dir, f"power_matrix_{tag}.json"), power_matrix_payload(pm, jpd))
 
 
 def _cmd_verify(args, run_config: RunConfig) -> int:

@@ -69,31 +69,16 @@ def assemble_system(
     if dof not in (1, 2):
         raise InvalidInputError(f"dof must be 1 or 2, got {dof}")
     diag_inertia = props.inertia_dry + coeffs.added_inertia
-    if dof == 1:
-        return SystemMatrices(
-            inertia=np.array([[diag_inertia]]),
-            damping=np.array([[coeffs.damping]]),
-            stiffness=np.array([props.stiffness]),
-        )
-    if abs(coeffs.coupling_inertia) >= diag_inertia:
+    if dof == 2 and abs(coeffs.coupling_inertia) >= diag_inertia:
         raise InvalidInputError(
             f"coupling inertia {coeffs.coupling_inertia:.4g} makes the total inertia "
             f"matrix non-positive-definite (diagonal {diag_inertia:.4g})"
         )
+    eye = np.eye(dof, dtype=bool)
     return SystemMatrices(
-        inertia=np.array(
-            [
-                [diag_inertia, coeffs.coupling_inertia],
-                [coeffs.coupling_inertia, diag_inertia],
-            ]
-        ),
-        damping=np.array(
-            [
-                [coeffs.damping, coeffs.coupling_damping],
-                [coeffs.coupling_damping, coeffs.damping],
-            ]
-        ),
-        stiffness=np.array([props.stiffness, props.stiffness]),
+        inertia=np.where(eye, diag_inertia, coeffs.coupling_inertia),
+        damping=np.where(eye, coeffs.damping, coeffs.coupling_damping),
+        stiffness=np.full(dof, props.stiffness),
     )
 
 

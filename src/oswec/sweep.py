@@ -119,8 +119,9 @@ def classify_band(d_over_lambda: float) -> str:
     return "outside"
 
 
-def _ratio(value: float, reference: float) -> float:
-    return value / reference if reference != 0.0 else math.nan
+def _ratio(value: float, reference: float) -> float | None:
+    """``value / reference``; None (null in JSON, empty in CSV) for a zero reference."""
+    return value / reference if reference != 0.0 else None
 
 
 def _pair_columns(names: tuple[str, str], baseline: bool) -> tuple[str, ...]:
@@ -311,7 +312,8 @@ def run_heading_study(plan: SweepPlan, model: Model) -> SweepReport:
         }
 
         def extra(result):
-            loss = 0.0 if beta == 0.0 else 1.0 - _ratio(result.total_power, zero.total_power)
+            ratio = 1.0 if beta == 0.0 else _ratio(result.total_power, zero.total_power)
+            loss = None if ratio is None else 1.0 - ratio
             return {"total_power_W": result.total_power, "power_loss_fraction": loss}
 
         report.rows.append(_row(axes, ("front", "back"), outcome, None, extra))

@@ -66,35 +66,22 @@ def _random_case(rng: np.random.Generator) -> tuple[SystemMatrices, ForcingSpec,
         "damping_ratio": zeta,
         "omega_rad_s": omega,
     }
-    if dof == 1:
-        system = SystemMatrices(
-            np.array([[inertia]]), np.array([[damping]]), np.array([stiffness])
-        )
-        amp = rng.uniform(1e5, 2e6)
-        phase = rng.uniform(-math.pi, math.pi)
-        params.update({"torque_Nm": [amp], "phase_rad": [phase]})
-        forcing = ForcingSpec(omega, (FlapForcing(amp, phase),))
-        return system, forcing, params
-    coupling_inertia = rng.uniform(-0.4, 0.4) * inertia
-    coupling_damping = rng.uniform(-0.7, 0.7) * damping
+    coupling_inertia = coupling_damping = 0.0
+    if dof == 2:
+        coupling_inertia = rng.uniform(-0.4, 0.4) * inertia
+        coupling_damping = rng.uniform(-0.7, 0.7) * damping
+        params["coupling_inertia_kg_m2"] = coupling_inertia
+        params["coupling_damping_Nm_s_per_rad"] = coupling_damping
+    amps = rng.uniform(1e5, 2e6, size=dof).tolist()
+    phases = rng.uniform(-math.pi, math.pi, size=dof).tolist()
+    params.update({"torque_Nm": amps, "phase_rad": phases})
+    eye = np.eye(dof, dtype=bool)
     system = SystemMatrices(
-        np.array([[inertia, coupling_inertia], [coupling_inertia, inertia]]),
-        np.array([[damping, coupling_damping], [coupling_damping, damping]]),
-        np.array([stiffness, stiffness]),
+        np.where(eye, inertia, coupling_inertia),
+        np.where(eye, damping, coupling_damping),
+        np.full(dof, stiffness),
     )
-    amps = rng.uniform(1e5, 2e6, size=2)
-    phases = rng.uniform(-math.pi, math.pi, size=2)
-    params.update(
-        {
-            "coupling_inertia_kg_m2": coupling_inertia,
-            "coupling_damping_Nm_s_per_rad": coupling_damping,
-            "torque_Nm": list(amps),
-            "phase_rad": list(phases),
-        }
-    )
-    forcing = ForcingSpec(
-        omega, (FlapForcing(amps[0], phases[0]), FlapForcing(amps[1], phases[1]))
-    )
+    forcing = ForcingSpec(omega, tuple(map(FlapForcing, amps, phases)))
     return system, forcing, params
 
 

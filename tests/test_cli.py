@@ -278,6 +278,68 @@ class TestAEPCommand:
         assert len(outputs[0]) == 8
         assert outputs[0] == outputs[1]
 
+    def test_non_steady_design_is_named_on_stderr(self, fast_config, tmp_path, capsys):
+        # a kernel gain of 1 makes the in-phase modal damping negative at
+        # 10 m: every cell there grows without settling, while the single
+        # flap and the 45 m pair settle and print nothing
+        data = json.loads(fast_config.read_text())
+        data["coefficients"]["analytic"]["alpha"] = 1.0
+        config = tmp_path / "alpha1.json"
+        config.write_text(json.dumps(data))
+        jpd = self._write_jpd(tmp_path)
+        code = main([str(config), "aep", "--jpd", str(jpd), "--distances", "10,45"])
+        assert code == 0
+        captured = capsys.readouterr()
+        assert captured.err == "oswec: dual_d10: 4 of 4 cells not steady, 0 failed\n"
+        assert "dual_d10: " in captured.out
+        matrix = json.loads((out_dir(config) / "power_matrix_d10.json").read_text())
+        assert matrix["steady"] == [[False, False], [False, False]]
+
+    def test_failed_cells_are_counted_on_stderr(
+        self, fast_config, tmp_path, monkeypatch, capsys
+    ):
+        import oswec.energy as energy_mod
+        from oswec.errors import NumericalError
+
+        real = energy_mod.run_wave_case
+
+        def failing(model, wave, distance, dual):
+            if dual and wave.period == 9.5:
+                raise NumericalError("injected")
+            return real(model, wave, distance, dual)
+
+        monkeypatch.setattr(energy_mod, "run_wave_case", failing)
+        jpd = self._write_jpd(tmp_path)
+        code = main([str(fast_config), "aep", "--jpd", str(jpd), "--distances", "10"])
+        assert code == 0
+        assert capsys.readouterr().err == "oswec: dual_d10: 0 of 4 cells not steady, 2 failed\n"
+
+    def test_coefficient_table_config_runs(self, configs_dir, tmp_path, capsys):
+        # the shipped table config: coefficient and excitation tables
+        # instead of the analytic source
+        config = str(configs_dir / "reference_table.json")
+        jpd = tmp_path / "one_cell.csv"
+        jpd.write_text("hs_m\\te_s,8.5\n1.75,0.5\n")
+        out = tmp_path / "out"
+        assert main([config, "--out", str(out), "aep", "--jpd", str(jpd)]) == 0
+        assert main(
+            [config, "--out", str(out), "sweep", "--study", "wave", "--distances", "10",
+             "--periods", "8.5", "--heights", "1.75"]
+        ) == 0
+        assert capsys.readouterr().err == ""
+        matrices = sorted(out.glob("power_matrix_*.json"))
+        assert len(matrices) == 8
+        for path in matrices:
+            payload = json.loads(path.read_text())
+            assert payload["errors"] == []
+            assert payload["steady"] == [[True]] and payload["computed"] == [[True]]
+            assert payload["config"]["coefficients"] == {
+                "source": "../data/sample_coefficients.csv"
+            }
+            assert payload["config"]["transfer"] == {"gamma_table_points": 5, "eta": 0.1}
+        (row,) = json.loads((out / "sweep_wave.json").read_text())["rows"]["10"]["8.5"].values()
+        assert row["error"] == "" and row["steady"] is True
+
 
 class TestVerifyCommand:
     def test_verify_passes(self, fast_config, capsys):
@@ -289,6 +351,16 @@ class TestVerifyCommand:
 
     def test_bad_case_count_exits_1(self, fast_config):
         assert main([str(fast_config), "verify", "--cases", "0"]) == 1
+
+    def test_failed_verification_exits_3(self, fast_config, monkeypatch, capsys):
+        from oswec.verify import VerifyOutcome
+
+        failing = VerifyOutcome([({"dof": 1}, ["energy-balance: input 2 W vs dissipated 1 W"])])
+        monkeypatch.setattr("oswec.cli.run_verification", lambda **_: failing)
+        assert main([str(fast_config), "verify", "--cases", "1"]) == 3
+        captured = capsys.readouterr()
+        assert "FAIL energy-balance: 0/1 cases ok" in captured.out
+        assert "verification failed" in captured.err
 
 
 class TestUsageErrors:

@@ -404,6 +404,31 @@ class TestHeadingStudy:
         assert [row["steady"] for row in rows] == [False] * 3
         assert sorted(calls) == [0.0, 0.0, 10.0, 10.0, 20.0, 20.0]
 
+    def test_zero_reference_power_gives_null_loss(self, fast_reference, tmp_path):
+        # a zero PTO damping takes no power at any heading: the loss against
+        # a zero reference is undefined, so it is null in the JSON and empty
+        # in the CSV, never NaN
+        import json
+
+        from oswec.energy import PTOModel
+
+        model = replace(fast_reference, pto=PTOModel(0.0))
+        report = run_heading_study(SweepPlan(headings=(0.0, 10.0)), model)
+        assert [row["power_loss_fraction"] for row in report.rows] == [0.0, None]
+        report.to_json(tmp_path / "sweep_heading.json")
+        report.to_csv(tmp_path / "sweep_heading.csv")
+
+        def reject(constant):
+            raise ValueError(f"non-finite JSON constant {constant}")
+
+        payload = json.loads(
+            (tmp_path / "sweep_heading.json").read_text(), parse_constant=reject
+        )
+        assert payload["rows"]["10"]["power_loss_fraction"] is None
+        lines = (tmp_path / "sweep_heading.csv").read_text().splitlines()
+        column = lines[1].split(",").index("power_loss_fraction")
+        assert lines[3].split(",")[column] == ""
+
 
 class TestFiniteDepth:
     def test_wave_study_runs_at_finite_depth(self, fast_reference):

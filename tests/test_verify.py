@@ -1,3 +1,6 @@
+import numpy as np
+import pytest
+
 import oswec.verify as verify_mod
 from oswec.dynamics import IntegrationConfig
 from oswec.verify import format_report, run_verification
@@ -75,3 +78,68 @@ def test_zero_amplitude_case_trivially_passes():
     metrics = response_metrics(record)
     theta = freq_domain_solve(system, forcing)
     assert metrics.amplitude[0] == 0.0 == abs(theta[0])
+
+
+# the first six seed-0 systems, as drawn in the order dof, inertia, natural
+# frequency, damping ratio, forcing frequency, couplings (two flaps only),
+# torque amplitudes, torque phases
+SEED0_PARAMS = [
+    {"dof": 2, "inertia_kg_m2": 2242449.79114381, "stiffness_Nm_per_rad": 420005.2538930818,
+     "damping_Nm_s_per_rad": 70257.43537561133, "damping_ratio": 0.03619708281795851,
+     "omega_rad_s": 0.744338610229602, "coupling_inertia_kg_m2": 740466.9264478959,
+     "coupling_damping_Nm_s_per_rad": 10488.738574567147,
+     "torque_Nm": [1486043.465869597, 1132887.4837843035],
+     "phase_rad": [2.7336406607023154, 1.9845664104768632]},
+    {"dof": 1, "inertia_kg_m2": 13020436.97078984, "stiffness_Nm_per_rad": 2372540.827582845,
+     "damping_Nm_s_per_rad": 8170973.351097644, "damping_ratio": 0.7350623375013452,
+     "omega_rad_s": 0.32590699657201155, "torque_Nm": [1740039.9524647845],
+     "phase_rad": [0.2605085298868297]},
+    {"dof": 1, "inertia_kg_m2": 3543997.3425134975, "stiffness_Nm_per_rad": 633092.1434571128,
+     "damping_Nm_s_per_rad": 424794.67625722673, "damping_ratio": 0.14179761096957266,
+     "omega_rad_s": 0.636492752737854, "torque_Nm": [1329660.071991075],
+     "phase_rad": [0.7249860371262926]},
+    {"dof": 1, "inertia_kg_m2": 19786679.376891468, "stiffness_Nm_per_rad": 27769395.783996742,
+     "damping_Nm_s_per_rad": 32433945.1732624, "damping_ratio": 0.6918311447910808,
+     "omega_rad_s": 1.748201834789124, "torque_Nm": [1408048.7880847862],
+     "phase_rad": [-0.6979272767969258]},
+    {"dof": 1, "inertia_kg_m2": 8668318.141337955, "stiffness_Nm_per_rad": 5832607.465208181,
+     "damping_Nm_s_per_rad": 4608116.447390682, "damping_ratio": 0.32403703804777656,
+     "omega_rad_s": 1.0079257912179547, "torque_Nm": [1790026.8852631005],
+     "phase_rad": [2.7271758421328762]},
+    {"dof": 1, "inertia_kg_m2": 5533358.135323295, "stiffness_Nm_per_rad": 2392072.655432802,
+     "damping_Nm_s_per_rad": 4383355.01690382, "damping_ratio": 0.6024140295957029,
+     "omega_rad_s": 0.6620104282047045, "torque_Nm": [844076.1010035063],
+     "phase_rad": [2.452166074285545]},
+]
+
+
+def test_random_systems_keep_their_draws():
+    rng = np.random.default_rng(0)
+    for expected in SEED0_PARAMS:
+        system, forcing, params = verify_mod._random_case(rng)
+        assert list(params) == list(expected)
+        assert system.dof == forcing.dof == params["dof"]
+        for key, value in expected.items():
+            assert params[key] == pytest.approx(value, rel=1e-12), key
+
+
+def test_case_parameters_are_plain_python_numbers(monkeypatch):
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        _, _, params = verify_mod._random_case(rng)
+        for key, value in params.items():
+            if key == "dof":
+                assert type(value) is int
+            elif isinstance(value, list):
+                assert [type(v) for v in value] == [float] * params["dof"], key
+            else:
+                assert type(value) is float, key
+
+    # a failing two-flap case prints its torques and phases as plain floats
+    solve = verify_mod.freq_domain_solve
+    monkeypatch.setattr(
+        verify_mod, "freq_domain_solve", lambda system, forcing: 2.0 * solve(system, forcing)
+    )
+    report = format_report(run_verification(n_cases=1, seed=0, integration=FAST))
+    assert "case 0 FAILED with parameters {'dof': 2," in report
+    assert "np.float64" not in report
