@@ -201,6 +201,15 @@ def _write_timeseries(record, path) -> None:
             writer.writerow([format(record.time[i], ".9g"), *states])
 
 
+def _note_unsettled(label: str, not_steady: int, total: int, unit: str, failed: int) -> None:
+    """One stderr line for a design or study with non-steady or failed cases."""
+    if not_steady or failed:
+        print(
+            f"oswec: {label}: {not_steady} of {total} {unit} not steady, {failed} failed",
+            file=sys.stderr,
+        )
+
+
 # the plan field each sweep flag sets, per study; any other flag given is an error
 _SWEEP_FLAGS = {
     "torque": {
@@ -241,7 +250,9 @@ def _cmd_sweep(args, run_config: RunConfig, out_dir: str) -> int:
     json_path = os.path.join(out_dir, f"sweep_{args.study}.json")
     report.to_csv(csv_path)
     report.to_json(json_path)
-    failures = sum(1 for row in report.rows if row.get("error"))
+    failures = sum(1 for row in report.rows if row["error"])
+    not_steady = sum(1 for row in report.rows if not (row["error"] or row["steady"]))
+    _note_unsettled(f"sweep_{args.study}", not_steady, len(report.rows), "rows", failures)
     print(f"{len(report.rows)} rows ({failures} failed) -> {csv_path}, {json_path}")
     return EXIT_OK
 
@@ -266,12 +277,7 @@ def _cmd_aep(args, run_config: RunConfig, out_dir: str) -> int:
         # RSS; only a computed cell can be steady
         computed = sum(map(sum, pm.computed.tolist()))
         not_steady = computed - sum(map(sum, pm.steady.tolist()))
-        if not_steady or pm.errors:
-            print(
-                f"oswec: {label}: {not_steady} of {computed + len(pm.errors)} "
-                f"cells not steady, {len(pm.errors)} failed",
-                file=sys.stderr,
-            )
+        _note_unsettled(label, not_steady, computed + len(pm.errors), "cells", len(pm.errors))
         os.makedirs(out_dir, exist_ok=True)
         write_power_matrix_csv(pm, jpd, os.path.join(out_dir, f"power_matrix_{tag}.csv"))
         write_json(os.path.join(out_dir, f"power_matrix_{tag}.json"), power_matrix_payload(pm, jpd))

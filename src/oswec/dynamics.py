@@ -6,12 +6,14 @@ The dual-flap system is
     [[C, C_lr], [C_lr, C]] theta' + diag(k, k) theta = T0 sin(w t + phi)
 
 per flap; the single-flap case is the same with the coupling terms dropped.
-Time integration uses fixed-step classical RK4 run to harmonic steady state.
+A pair is mirror-symmetric, so it is two independent oscillators, its
+in-phase and out-of-phase modes. Time integration steps the modes with
+fixed-step classical RK4 run to harmonic steady state.
 The system is linear and time-invariant and its forcing repeats exactly
 every ``steps_per_period`` steps, so one RK4 step is the affine map
 y <- P y + Im(Q exp(i w t)) and a whole forcing period is one precomputed
 array product: the same samples as stepping, up to rounding.
-``freq_domain_solve`` solves the same system with a harmonic ansatz and
+``freq_domain_solve`` solves the physical system with a harmonic ansatz and
 serves as an independent oracle for the integrator.
 """
 
@@ -26,9 +28,19 @@ from .errors import InvalidInputError, NumericalError
 from .hydro import FlapProperties, HydroCoefficients
 
 
+_MODES = np.array([[1.0, 1.0], [1.0, -1.0]])
+
+
+def _mode_sums(x: np.ndarray) -> np.ndarray:
+    """x @ [[1, 1], [1, -1]] on the last axis, one flap being its own mode:
+    the flaps from the in-phase and out-of-phase modes, or the modal values
+    (I + I_lr, I - I_lr) of a row of a mirror-symmetric matrix."""
+    return x @ _MODES[: x.shape[-1], : x.shape[-1]]
+
+
 @dataclass(frozen=True)
 class SystemMatrices:
-    """Total inertia matrix, damping matrix, and stiffness vector."""
+    """Total inertia, damping and stiffness of one flap or a mirror-symmetric pair."""
 
     inertia: np.ndarray  # (n, n) kg m^2
     damping: np.ndarray  # (n, n) N m s/rad
@@ -43,10 +55,13 @@ class SystemMatrices:
             raise InvalidInputError(
                 f"matrix shapes disagree: inertia {m.shape}, damping {c.shape}, dof {n}"
             )
-        if not np.allclose(m, m.T, rtol=0.0, atol=0.0):
-            raise InvalidInputError("inertia matrix must be symmetric")
-        if np.any(np.linalg.eigvalsh(m) <= 0.0):
-            raise InvalidInputError("total inertia matrix must be positive definite")
+        for name, value, a in (("inertia", m, m), ("damping", c, c), ("stiffness", k, np.diag(k))):
+            if not (np.array_equal(a, a.T) and np.array_equal(a, a[::-1, ::-1])):
+                raise InvalidInputError(f"{name} must be mirror-symmetric, got {value.tolist()}")
+        if not np.all(_mode_sums(m[0]) > 0.0):
+            raise InvalidInputError(
+                f"inertia must be positive-definite, got modal inertias {_mode_sums(m[0]).tolist()}"
+            )
         if np.any(np.diag(c) <= 0.0):
             raise InvalidInputError("diagonal damping must be positive")
         object.__setattr__(self, "inertia", m)
@@ -68,15 +83,9 @@ def assemble_system(
     """
     if dof not in (1, 2):
         raise InvalidInputError(f"dof must be 1 or 2, got {dof}")
-    diag_inertia = props.inertia_dry + coeffs.added_inertia
-    if dof == 2 and abs(coeffs.coupling_inertia) >= diag_inertia:
-        raise InvalidInputError(
-            f"coupling inertia {coeffs.coupling_inertia:.4g} makes the total inertia "
-            f"matrix non-positive-definite (diagonal {diag_inertia:.4g})"
-        )
     eye = np.eye(dof, dtype=bool)
     return SystemMatrices(
-        inertia=np.where(eye, diag_inertia, coeffs.coupling_inertia),
+        inertia=np.where(eye, props.inertia_dry + coeffs.added_inertia, coeffs.coupling_inertia),
         damping=np.where(eye, coeffs.damping, coeffs.coupling_damping),
         stiffness=np.full(dof, props.stiffness),
     )
@@ -206,26 +215,6 @@ def _free_model(system: SystemMatrices, forcing: ForcingSpec) -> tuple:
     return free, system.inertia[block], system.damping[block], system.stiffness[free], phasor
 
 
-def _mirrored_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b`` over states [rotations, velocities], summed part by part.
-
-    The rotation terms and the velocity terms are summed separately, then
-    added. Swapping the flaps permutes terms only within each part, so for
-    a mirror-symmetric pair forced alike these products round both flaps
-    alike. A BLAS product (any summation order, fused multiply-adds) does
-    not, and over the stacked step powers its rounding split such a pair
-    by about 1e-14 of the response. ``a`` may be a stack of matrices;
-    ``b`` is a vector or a matrix.
-    """
-    half = a.shape[-1] // 2
-    column = b.ndim == 1
-    terms = a[..., np.newaxis, :] * (b if column else b.T)  # [..., row, col, term]
-    rotation = sum(terms[..., j] for j in range(half))
-    velocity = sum(terms[..., j] for j in range(half, 2 * half))
-    product = rotation + velocity
-    return product[..., 0] if column else product
-
-
 def integrate(
     system: SystemMatrices, forcing: ForcingSpec, cfg: IntegrationConfig = IntegrationConfig()
 ) -> ResponseRecord:
@@ -238,11 +227,13 @@ def integrate(
     case the record is flagged steady=False). Fixed flaps are eliminated
     from the integrated system and reported as zero series.
 
-    On this linear system one RK4 step is y <- P y + Im(Q exp(i w t)),
-    with P RK4's stability polynomial in dt*A. The powers P^j and the
-    cycle from rest S_j (j = 1..steps_per_period) are built once per call;
-    each forcing period is then one array product, P^j @ y_c + S_j from
-    the state y_c at the period's start. That gives the samples of
+    The free flaps are stepped as their modes, and each cycle is mapped
+    back to the flaps before it is tested and stored, so flaps forced alike
+    are identical. One RK4 step is y <- P y + Im(Q exp(i w t)), with P
+    RK4's stability polynomial in dt*A. The powers P^j and the cycle from
+    rest S_j (j = 1..steps_per_period) are built once per call; each
+    forcing period is then one array product, P^j @ y_c + S_j from the
+    state y_c at the period's start. That gives the samples of
     step-by-step RK4 up to rounding.
 
     Raises NumericalError naming the first offending step when a cycle
@@ -265,27 +256,25 @@ def integrate(
         return ResponseRecord(time, zeros, zeros.copy(), omega, True, 1, window)
 
     nf = len(free)
-    minv = np.linalg.inv(m)
-    # first-order form y = [theta, theta_dot], y' = a_mat @ y + Im(g exp(i w t))
+    minv = 1.0 / _mode_sums(m[0])
+    # modal first-order form y' = a_mat @ y + Im(g exp(i w t)), forcing (T_l +- T_r)/2
     a_mat = np.zeros((2 * nf, 2 * nf))
     a_mat[:nf, nf:] = np.eye(nf)
-    a_mat[nf:, :nf] = -minv * k[np.newaxis, :]
-    a_mat[nf:, nf:] = -minv @ c
+    a_mat[nf:, :nf] = np.diag(-minv * k)
+    a_mat[nf:, nf:] = np.diag(-minv * _mode_sums(c[0]))
     g = np.zeros(2 * nf, dtype=complex)
-    g[nf:] = minv @ phasor
+    g[nf:] = minv * _mode_sums(phasor) / nf
 
     # one RK4 step from t is y <- step @ y + Im(q exp(i w t)): step is RK4's
     # stability polynomial in dt*a_mat and q the forcing part of its stages
     eye = np.eye(2 * nf)
     h_a = dt * a_mat
-    step = eye + _mirrored_matmul(
-        h_a, eye + _mirrored_matmul(h_a / 2, eye + _mirrored_matmul(h_a / 3, eye + h_a / 4))
-    )
+    step = eye + h_a @ (eye + (h_a / 2) @ (eye + (h_a / 3) @ (eye + h_a / 4)))
     z = np.exp(0.5j * omega * dt)
     k1 = g
-    k2 = (0.5 * dt) * _mirrored_matmul(a_mat, k1) + g * z
-    k3 = (0.5 * dt) * _mirrored_matmul(a_mat, k2) + g * z
-    k4 = dt * _mirrored_matmul(a_mat, k3) + g * (z * z)
+    k2 = (0.5 * dt) * (a_mat @ k1) + g * z
+    k3 = (0.5 * dt) * (a_mat @ k2) + g * z
+    k4 = dt * (a_mat @ k3) + g * (z * z)
     q = (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
     # The forcing repeats every `steps` steps, so the samples of any cycle
@@ -299,16 +288,14 @@ def integrate(
         forced = q[np.newaxis]
         while len(powers) < steps:
             done = len(powers)
-            forced = np.concatenate(
-                [forced, _mirrored_matmul(powers, forced[-1]) + phasor[done] * forced]
-            )
-            powers = np.concatenate([powers, _mirrored_matmul(powers, powers[-1])])
+            forced = np.concatenate([forced, powers @ forced[-1] + phasor[done] * forced])
+            powers = np.concatenate([powers, powers @ powers[-1]])
         powers = powers[:steps]
         zero_state = forced[:steps].imag
 
         # overflow of an unstable system is detected per cycle, not per step:
-        # a cycle is non-finite when any state, its square or the cycle RMS
-        # is, and raises NumericalError before the convergence test sees it
+        # a cycle is non-finite when any flap state, its square or the cycle
+        # RMS is, and raises NumericalError before the convergence test sees it
         y = np.zeros(2 * nf)
         blocks = [y[np.newaxis]]
         prev_rms = None
@@ -316,8 +303,9 @@ def integrate(
         cycles = 0
         for cycle in range(cfg.max_periods):
             start = cycle * steps
-            block = _mirrored_matmul(powers, y) + zero_state
-            y = block[-1]
+            modal = powers @ y + zero_state
+            y = modal[-1]
+            block = _mode_sums(modal.reshape(steps, 2, nf)).reshape(steps, 2 * nf)
             blocks.append(block)
             cycles = cycle + 1
             finite = np.isfinite(block * block).all(axis=1)

@@ -184,6 +184,31 @@ class TestSweepCommand:
         assert f"--study {study}" in err and flag in err
         assert not (out_dir(fast_config) / f"sweep_{study}.csv").exists()
 
+    def test_failed_rows_are_counted_on_stderr(self, fast_config, tmp_path, capsys):
+        # a kernel gain of 1 makes the in-phase modal damping negative at
+        # 10 m and 38 s: every pair diverges, only the fixed-left rows settle
+        data = json.loads(fast_config.read_text())
+        data["coefficients"]["analytic"]["alpha"] = 1.0
+        data["integration"]["max_periods"] = 200
+        config = tmp_path / "alpha1.json"
+        config.write_text(json.dumps(data))
+        code = main(
+            [str(config), "sweep", "--study", "torque", "--distances", "10",
+             "--periods", "38", "--amplitudes", "600000,1000000"]
+        )
+        assert code == 0
+        captured = capsys.readouterr()
+        assert captured.err == "oswec: sweep_torque: 0 of 10 rows not steady, 8 failed\n"
+        assert captured.out.startswith("10 rows (8 failed) -> ")
+
+    def test_clean_sweep_prints_nothing_on_stderr(self, fast_config, capsys):
+        code = main(
+            [str(fast_config), "sweep", "--study", "torque", "--distances", "10,45",
+             "--periods", "8.5", "--amplitudes", "0.6e6"]
+        )
+        assert code == 0
+        assert capsys.readouterr().err == ""
+
     def test_reruns_are_byte_identical(self, fast_config):
         args = [str(fast_config), "--workers", "1", "sweep", "--study", "heading",
                 "--headings", "0,15,30"]

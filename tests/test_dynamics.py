@@ -306,6 +306,15 @@ def _right_only_left_fixed_case():
     return system, forcing, model.integration
 
 
+def _torque_case(variant, distance, period):
+    # with only the right flap forced, the free left flap moves through the
+    # coupling alone: a difference of two modes, where cancellation shows
+    model = reference_model()
+    scenario = TorqueScenario(variant, 1.0e6, period, distance)
+    system = model.system_for(period, distance, dual=True)
+    return system, build_torque_scenario(scenario, model.environment), model.integration
+
+
 def _arbitrary_phase_case():
     omega = 2.0 * math.pi / 8.5
     forcing = ForcingSpec(omega, (FlapForcing(1.0e6, 0.7), FlapForcing(0.6e6, -2.1)))
@@ -341,6 +350,9 @@ class TestCycleMapMatchesStepper:
             _arbitrary_phase_case,
             _coarse_step_case,
             _growing_case,
+            lambda: _torque_case(Scenario.RIGHT_ONLY_LEFT_FREE, 86.0, 7.5),
+            lambda: _torque_case(Scenario.RIGHT_ONLY_LEFT_FREE, 55.0, 7.5),
+            lambda: _torque_case(Scenario.OUT_OF_PHASE, 10.0, 8.5),
         ],
         ids=[
             "reference-flap",
@@ -350,6 +362,9 @@ class TestCycleMapMatchesStepper:
             "arbitrary-phase",
             "37-steps",
             "growing-85-periods",
+            "right-only-left-free-d86-Te7.5",
+            "right-only-left-free-d55-Te7.5",
+            "out-of-phase-d10-Te8.5",
         ],
     )
     def test_same_record(self, case):
@@ -675,6 +690,20 @@ class TestValidation:
             IntegrationConfig(convergence_tol=0.0)
         with pytest.raises(InvalidInputError):
             IntegrationConfig(ramp_periods=150, measure_periods=100, max_periods=200)
+
+    @pytest.mark.parametrize(
+        "field, inertia, damping, stiffness",
+        [
+            ("damping", np.eye(2), np.diag([1.0, 2.0]), [1.0, 1.0]),
+            ("damping", np.eye(2), [[1.0, 0.1], [0.2, 1.0]], [1.0, 1.0]),
+            ("stiffness", np.eye(2), np.eye(2), [1.0, 2.0]),
+            ("inertia", np.diag([1.0, 2.0]), np.eye(2), [1.0, 1.0]),
+        ],
+        ids=["unequal-damping", "asymmetric-damping", "unequal-stiffness", "unequal-inertia"],
+    )
+    def test_pair_must_be_mirror_symmetric(self, field, inertia, damping, stiffness):
+        with pytest.raises(InvalidInputError, match=f"^{field} must be mirror-symmetric"):
+            SystemMatrices(np.array(inertia), np.array(damping), np.array(stiffness))
 
     def test_system_matrix_invariants(self):
         with pytest.raises(InvalidInputError):

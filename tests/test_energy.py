@@ -417,6 +417,18 @@ class TestUnitAmplitudeGrid:
         assert len(pm.errors) == np.count_nonzero(~pm.computed)
 
 
+@pytest.mark.parametrize("distance, period", [(15.0, 7.5), (10.0, 11.5)])
+def test_in_phase_flaps_are_identical(reference, distance, period):
+    # the out-of-phase mode is forced by exactly 0, so no rounding splits the pair
+    scenario = TorqueScenario(Scenario.IN_PHASE, 0.6e6, period, distance)
+    result = run_torque_case(reference, scenario)
+    for series in (result.record.rotation, result.record.velocity):
+        np.testing.assert_array_equal(series[:, 0], series[:, 1])
+    metrics = result.metrics
+    for values in (metrics.rms_rotation, metrics.amplitude, metrics.phase, result.power):
+        assert values[0] == values[1]
+
+
 class TestNonFiniteBackstop:
     """Window metrics that overflow although every cycle's squares are finite."""
 
