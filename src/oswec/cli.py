@@ -183,6 +183,7 @@ def _cmd_simulate(args, run_config: RunConfig, out_dir: str) -> int:
     write_json(metrics_path, payload)
     if args.dump_timeseries:
         _write_timeseries(result.record, os.path.join(out_dir, "simulate_timeseries.csv"))
+    _note_unsettled("simulate", 0 if result.metrics.steady else 1, 1, "cases", 0)
     rms_text = ", ".join(
         f"{name} rms={result.metrics.rms_rotation[i]:.4f} rad" for i, name in enumerate(names)
     )

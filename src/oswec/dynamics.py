@@ -11,8 +11,11 @@ in-phase and out-of-phase modes. Time integration steps the modes with
 fixed-step classical RK4 run to harmonic steady state.
 The system is linear and time-invariant and its forcing repeats exactly
 every ``steps_per_period`` steps, so one RK4 step is the affine map
-y <- P y + Im(Q exp(i w t)) and a whole forcing period is one precomputed
-array product: the same samples as stepping, up to rounding.
+y <- P y + Im(Q exp(i w t)) and a whole forcing period is an affine map of
+its start state. A period then costs a 4x4 map and, for the convergence
+test, a quadratic form in the start state; the samples of every period are
+built in one array product at the end: the same samples as stepping, up to
+rounding.
 ``freq_domain_solve`` solves the physical system with a harmonic ansatz and
 serves as an independent oracle for the integrator.
 """
@@ -35,7 +38,8 @@ def _mode_sums(x: np.ndarray) -> np.ndarray:
     """x @ [[1, 1], [1, -1]] on the last axis, one flap being its own mode:
     the flaps from the in-phase and out-of-phase modes, or the modal values
     (I + I_lr, I - I_lr) of a row of a mirror-symmetric matrix."""
-    return x @ _MODES[: x.shape[-1], : x.shape[-1]]
+    n = x.shape[-1]
+    return (x.reshape(-1, n) @ _MODES[:n, :n]).reshape(x.shape)
 
 
 @dataclass(frozen=True)
@@ -227,19 +231,26 @@ def integrate(
     case the record is flagged steady=False). Fixed flaps are eliminated
     from the integrated system and reported as zero series.
 
-    The free flaps are stepped as their modes, and each cycle is mapped
-    back to the flaps before it is tested and stored, so flaps forced alike
-    are identical. One RK4 step is y <- P y + Im(Q exp(i w t)), with P
-    RK4's stability polynomial in dt*A. The powers P^j and the cycle from
-    rest S_j (j = 1..steps_per_period) are built once per call; each
-    forcing period is then one array product, P^j @ y_c + S_j from the
-    state y_c at the period's start. That gives the samples of
-    step-by-step RK4 up to rounding.
+    The free flaps are stepped as their modes and mapped back to the flaps
+    for the test and the record, so flaps forced alike are identical. One
+    RK4 step is y <- P y + Im(Q exp(i w t)), with P RK4's stability
+    polynomial in dt*A. The powers P^j and the cycle from rest S_j
+    (j = 1..steps_per_period) are built once per call, so sample j of the
+    period that starts from y_c is P^j @ y_c + S_j. Each period then costs
+    O(1): its start state is a 4x4 map (plus offset) of the last one, and
+    each flap's rotation RMS over it is a quadratic form in y_c, summed
+    once per call and evaluated as the norm of a triangular factor. Only
+    the start states are kept; one array product against the stacked P^j
+    gives every sample at the end, those of step-by-step RK4 up to
+    rounding.
 
-    Raises NumericalError naming the first offending step when a cycle
-    holds a non-finite state. A state whose square overflows counts as
-    non-finite, and so does a cycle whose rotation RMS overflows, so
-    steady=True is only ever reported for a finite RMS.
+    A period whose states the bound |P^j| max|y_c| + max|S_j| does not keep
+    below 1e140, whose form cancels (a flap that is zero, or nearly so,
+    next to its modes) or whose mean square nears the subnormal range is
+    built sample by sample instead and its RMS taken from the samples. Raises NumericalError naming the first offending step
+    when such a period holds a non-finite state. A state whose square
+    overflows counts as non-finite, and so does a period whose rotation RMS
+    overflows, so steady=True is only ever reported for a finite RMS.
     """
     n = system.dof
     free, m, c, k, phasor = _free_model(system, forcing)
@@ -293,43 +304,90 @@ def integrate(
         powers = powers[:steps]
         zero_state = forced[:steps].imag
 
-        # overflow of an unstable system is detected per cycle, not per step:
-        # a cycle is non-finite when any flap state, its square or the cycle
-        # RMS is, and raises NumericalError before the convergence test sees it
-        y = np.zeros(2 * nf)
-        blocks = [y[np.newaxis]]
+        # A cycle is then a function of its start state u = (y, 1): the next
+        # start state is cycle_map @ u, and the rotation samples of flap i are
+        # rows[i] @ u. Their mean square is the quadratic form |R_i u|^2, R_i
+        # the triangular QR factor of rows[i] / sqrt(steps), so the loop
+        # touches no sample. As a norm, the form keeps the digits of a flap
+        # that is a near difference of its two modes.
+        d = 2 * nf
+        stack = np.concatenate([powers, zero_state[:, :, np.newaxis]], axis=2)
+        cycle_map = np.eye(d + 1)
+        cycle_map[:d] = stack[-1]
+        rows = _mode_sums(stack[:, :nf].swapaxes(1, 2)).transpose(2, 0, 1)
+        rfac = np.linalg.qr(rows, mode="r") / math.sqrt(steps)
+        abs_rfac = np.abs(rfac)
+        # no state of a cycle exceeds norm * max|y| + peak, so below 1e140
+        # every square, and every sum of squares, of the cycle is finite
+        norm = float(np.abs(powers).reshape(2 * steps, -1).sum(axis=1).max())
+        peak = float(np.abs(zero_state).reshape(2 * steps, -1).sum(axis=1).max())
+
+        # A cycle the bound does not clear is built sample by sample, as is
+        # one whose form cancels to 1e-8 of the size of its terms or below (a
+        # flap that is zero, or nearly so, next to its modes: the form would
+        # turn its exact zeros into rounding noise) or whose mean square nears
+        # the subnormal range, where the form and the samples round apart;
+        # its RMS then comes from its samples, which the record keeps.
+        # Overflow is detected there, per cycle: a cycle is non-finite when
+        # any flap state, its square or the cycle RMS is, and raises
+        # NumericalError before the convergence test sees it.
+        u = np.zeros(d + 1)
+        u[d] = 1.0
+        starts = []
+        built = {}
+        tol = cfg.convergence_tol
         prev_rms = None
         steady = False
-        cycles = 0
         for cycle in range(cfg.max_periods):
-            start = cycle * steps
-            modal = powers @ y + zero_state
-            y = modal[-1]
-            block = _mode_sums(modal.reshape(steps, 2, nf)).reshape(steps, 2 * nf)
-            blocks.append(block)
+            starts.append(u)
+            scale = np.abs(u)
+            form = rfac @ u
+            terms = abs_rfac @ scale
+            mean_square = (form * form).sum(axis=1).tolist()
+            magnitude = (terms * terms).sum(axis=1).tolist()
+            if norm * max(scale[:d].tolist()) + peak < 1e140 and all(
+                ms > 1e-8 * mag + 1e-280 for ms, mag in zip(mean_square, magnitude)
+            ):
+                rms = [math.sqrt(ms) for ms in mean_square]
+                u = cycle_map @ u
+            else:
+                modal = powers @ u[:d] + zero_state
+                block = _mode_sums(modal.reshape(steps, 2, nf)).reshape(steps, d)
+                finite = np.isfinite(block * block).all(axis=1)
+                rms = np.sqrt(np.mean(block[:, :nf] ** 2, axis=0))
+                if not (finite.all() and np.isfinite(rms).all()):
+                    # first sample whose square overflows; if every square is
+                    # finite but their sum is not, the last step of the cycle
+                    bad = cycle * steps + (
+                        int(np.argmin(finite)) + 1 if not finite.all() else steps
+                    )
+                    raise NumericalError(
+                        f"state became non-finite at step {bad} (t={bad * dt:.3f} s); "
+                        "the system is likely unstable (negative effective damping)"
+                    )
+                built[cycle] = block
+                u = np.append(modal[-1], 1.0)
             cycles = cycle + 1
-            finite = np.isfinite(block * block).all(axis=1)
-            rms = np.sqrt(np.mean(block[:, :nf] ** 2, axis=0))
-            if not (finite.all() and np.isfinite(rms).all()):
-                # first sample whose square overflows; if every square is
-                # finite but their sum is not, the last step of the cycle
-                bad = start + (int(np.argmin(finite)) + 1 if not finite.all() else steps)
-                raise NumericalError(
-                    f"state became non-finite at step {bad} (t={bad * dt:.3f} s); "
-                    "the system is likely unstable (negative effective damping)"
-                )
             if prev_rms is not None and cycles >= cfg.ramp_periods + cfg.measure_periods:
-                drift = np.abs(rms - prev_rms)
-                if np.all(drift <= cfg.convergence_tol * np.maximum(rms, prev_rms)):
+                if all(abs(r - p) <= tol * max(r, p) for r, p in zip(rms, prev_rms)):
                     steady = True
                     break
             prev_rms = rms
 
-    arr = np.concatenate(blocks)
-    total = arr.shape[0]
+        # every modal sample at once, rotations and velocities apart: column
+        # j * nf + i of block b holds mode i of block b at step j of a cycle
+        stacked = powers.reshape(steps, 2, nf, d).transpose(1, 3, 0, 2).reshape(2, d, -1)
+        modal = np.array(starts)[:, :d] @ stacked
+        modal += zero_state.reshape(steps, 2, nf).transpose(1, 0, 2).reshape(2, 1, -1)
+
+    total = cycles * steps + 1
     time = np.arange(total) * dt
     states = np.zeros((2, total, n))
-    states[:, :, free] = arr.reshape(total, 2, nf).swapaxes(0, 1)
+    states[:, 1:, free] = _mode_sums(modal.reshape(2, cycles * steps, nf))
+    for cycle, block in built.items():
+        states[:, 1 + cycle * steps : 1 + (cycle + 1) * steps, free] = (
+            block.reshape(steps, 2, nf).swapaxes(0, 1)
+        )
     rotation, velocity = states
     window = slice(total - span, total)
     return ResponseRecord(time, rotation, velocity, omega, steady, cycles, window)
@@ -364,17 +422,21 @@ def freq_domain_solve(system: SystemMatrices, forcing: ForcingSpec) -> np.ndarra
     return theta
 
 
-def harmonic_fit(time: np.ndarray, series: np.ndarray, omega: float) -> tuple[float, float]:
+def harmonic_fit(
+    time: np.ndarray, series: np.ndarray, omega: float
+) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
     """Least-squares amplitude and phase of a harmonic at frequency omega.
 
     Fits A*sin(w t) + B*cos(w t) over the whole series and returns
     (sqrt(A^2+B^2), atan2(B, A)); the fitted signal is
     amplitude*sin(w t + phase) with phase in (-pi, pi]. The series must
-    span at least three full periods.
+    span at least three full periods. A 1-D series gives two floats; an
+    (S, n) series is fitted column by column in one solve and gives two
+    (n,) arrays.
     """
     t = np.asarray(time, dtype=float)
     y = np.asarray(series, dtype=float)
-    if t.size != y.size:
+    if t.size != y.shape[0]:
         raise InvalidInputError("time and series differ in length")
     if t.size < 4:
         raise InvalidInputError(f"window of {t.size} samples is too short to fit")
@@ -387,10 +449,11 @@ def harmonic_fit(time: np.ndarray, series: np.ndarray, omega: float) -> tuple[fl
         )
     design = np.column_stack([np.sin(omega * t), np.cos(omega * t)])
     (a, b), *_ = np.linalg.lstsq(design, y, rcond=None)
-    amplitude = math.hypot(a, b)
-    phase = math.atan2(b, a)
-    if phase <= -math.pi:
-        phase += 2.0 * math.pi
+    amplitude = np.hypot(a, b)
+    phase = np.arctan2(b, a)
+    phase = np.where(phase <= -math.pi, phase + 2.0 * math.pi, phase)
+    if y.ndim == 1:
+        return float(amplitude), float(phase)
     return amplitude, phase
 
 
@@ -414,11 +477,7 @@ def response_metrics(record: ResponseRecord) -> ResponseMetrics:
     t = record.measured(record.time)
     rot = record.measured(record.rotation)
     rms = np.sqrt(np.mean(rot**2, axis=0))
-    n = record.dof
-    amplitude = np.zeros(n)
-    phase = np.zeros(n)
-    for i in range(n):
-        amplitude[i], phase[i] = harmonic_fit(t, rot[:, i], record.omega)
+    amplitude, phase = harmonic_fit(t, rot, record.omega)
     return ResponseMetrics(rms, amplitude, phase, record.steady, record.cycles)
 
 

@@ -124,6 +124,33 @@ class TestSimulate:
         assert code == 2
         assert "non-finite" in capsys.readouterr().err
 
+    def test_non_steady_case_is_named_on_stderr(self, fast_config, tmp_path, capsys):
+        # 12 periods, the least that covers ramp plus measure, is too few for
+        # the drift to settle below tolerance
+        data = json.loads(fast_config.read_text())
+        data["integration"]["max_periods"] = 12
+        config = tmp_path / "short.json"
+        config.write_text(json.dumps(data))
+        code = main(
+            [str(config), "simulate", "--wave", "--H", "1.75", "--Te", "9.5", "--d", "10"]
+        )
+        assert code == 0
+        captured = capsys.readouterr()
+        assert captured.err == "oswec: simulate: 1 of 1 cases not steady, 0 failed\n"
+        assert "total power=" in captured.out
+        payload = json.loads((out_dir(config) / "simulate_metrics.json").read_text())
+        assert payload["steady"] is False
+        assert payload["cycles_used"] == 12
+
+    def test_steady_case_prints_nothing_on_stderr(self, fast_config, capsys):
+        code = main(
+            [str(fast_config), "simulate", "--wave", "--H", "1.75", "--Te", "9.5", "--d", "10"]
+        )
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        payload = json.loads((out_dir(fast_config) / "simulate_metrics.json").read_text())
+        assert payload["steady"] is True
+
 
 class TestSweepCommand:
     def test_heading_row_count(self, fast_config):

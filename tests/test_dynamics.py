@@ -458,6 +458,141 @@ def test_integrate_is_finite_or_names_the_step(case):
         assert record.cycles >= cfg.ramp_periods + cfg.measure_periods
 
 
+def replay_convergence(record, forcing, cfg):
+    """(cycles, steady) from the drift rule run on each cycle's rotation RMS,
+    recomputed from the record's own samples."""
+    free = forcing.free_indices()
+    steps = cfg.steps_per_period
+    rotation = record.rotation[1:, free].reshape(record.cycles, steps, len(free))
+    rms = np.sqrt(np.mean(rotation**2, axis=1))
+    for cycle in range(1, record.cycles):
+        if cycle + 1 >= cfg.ramp_periods + cfg.measure_periods:
+            drift = np.abs(rms[cycle] - rms[cycle - 1])
+            if np.all(drift <= cfg.convergence_tol * np.maximum(rms[cycle], rms[cycle - 1])):
+                return cycle + 1, True
+    return record.cycles, False
+
+
+@given(linear_systems())
+@settings(max_examples=150, deadline=None)
+def test_convergence_replays_from_the_record(case):
+    """``integrate`` takes each cycle's RMS from a quadratic form in the
+    cycle's start state; the same rule on the RMS of the recorded samples
+    must stop at the same cycle with the same verdict."""
+    system, forcing, cfg = case
+    if not forcing.free_indices():
+        return
+    try:
+        record = integrate(system, forcing, cfg)
+    except NumericalError:
+        return
+    assert replay_convergence(record, forcing, cfg) == (record.cycles, record.steady)
+    if not record.steady:
+        assert record.cycles == cfg.max_periods
+
+
+class TestQuadraticFormFallback:
+    """Cycles whose RMS the quadratic form cannot give are built from samples."""
+
+    OMEGA = 2.0 * math.pi / 10.5
+
+    def _forcing(self, factor):
+        return ForcingSpec(
+            self.OMEGA, (FlapForcing(1.0 * factor, 0.3), FlapForcing(0.8 * factor))
+        )
+
+    def test_states_beyond_the_bound_scale_exactly(self):
+        # at 1e150 N m every state exceeds the 1e140 bound, so every cycle is
+        # built sample by sample; the squares stay finite and the run is the
+        # unit run times 1e150
+        cfg = IntegrationConfig()
+        unit = integrate(_coupled_pair(), self._forcing(1.0), cfg)
+        big = integrate(_coupled_pair(), self._forcing(1e150), cfg)
+        assert np.abs(big.rotation).max() > 1e140
+        assert (big.cycles, big.steady) == (unit.cycles, unit.steady)
+        for got, want in ((big.rotation, unit.rotation), (big.velocity, unit.velocity)):
+            want = 1e150 * want
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+    @pytest.mark.parametrize(
+        "factor, step", [(1e160, 200), (1e161, 43)], ids=["sum-overflows", "square-overflows"]
+    )
+    def test_overflow_names_the_steppers_step(self, factor, step):
+        # a stable pair whose first cycle overflows: at 1e160 only the sum of
+        # squares does (the cycle's last step is named), at 1e161 a square
+        forcing = self._forcing(factor)
+        with pytest.raises(NumericalError) as stepped:
+            stepped_rk4(_coupled_pair(), forcing)
+        with pytest.raises(NumericalError) as mapped:
+            integrate(_coupled_pair(), forcing)
+        assert _step_named(mapped) == _step_named(stepped) == step
+
+    def test_decoupled_flap_is_exactly_zero(self):
+        # no coupling: the left flap is the in-phase mode plus the exactly
+        # opposite out-of-phase mode, so its form cancels completely
+        coeffs = HydroCoefficients(2.0e6, 1.0e6)
+        system = assemble_system(FlapProperties(8.0e6, 4.375e6), coeffs, dof=2)
+        forcing = ForcingSpec(self.OMEGA, (FlapForcing(0.0), FlapForcing(1.0e6)))
+        _, _, cycles, steady, _ = stepped_rk4(system, forcing)
+        record = integrate(system, forcing)
+        assert (record.cycles, record.steady) == (cycles, steady) == (20, True)
+        assert np.all(record.rotation[:, 0] == 0.0)
+        assert np.all(record.velocity[:, 0] == 0.0)
+        assert np.any(record.rotation[:, 1] != 0.0)
+
+    def test_subnormal_mean_square_settles_as_stepped(self):
+        # states near 1e-161 rad have squares in the subnormal range, where
+        # a quadratic form and a sum of squares round differently
+        system = SystemMatrices(
+            np.array([[1333521.43216332]]), np.array([[31254.40856633]]),
+            np.array([333380.35804083]),
+        )
+        forcing = ForcingSpec(0.25, (FlapForcing(2.5867325459706784e-156),))
+        cfg = IntegrationConfig(steps_per_period=37, ramp_periods=1, measure_periods=3,
+                                max_periods=4)
+        _, _, cycles, steady, _ = stepped_rk4(system, forcing, cfg)
+        record = integrate(system, forcing, cfg)
+        assert (record.cycles, record.steady) == (cycles, steady) == (4, True)
+        assert replay_convergence(record, forcing, cfg) == (cycles, steady)
+
+    def test_cancelling_flap_keeps_the_samples_it_was_judged_on(self):
+        # uncoupled flaps forced 5e12-fold apart: the left flap is the
+        # rounding-level difference of two equal modes, so its RMS, and the
+        # verdict, are only reproducible from the very samples it came from
+        system = SystemMatrices(
+            np.diag([1.0e6, 1.0e6]), np.diag([1.5e6, 1.5e6]), np.array([1.0e6, 1.0e6])
+        )
+        forcing = ForcingSpec(2.0, (FlapForcing(1.192092896e-07), FlapForcing(571831.0)))
+        cfg = IntegrationConfig(steps_per_period=37, ramp_periods=1, measure_periods=3,
+                                max_periods=5)
+        _, _, cycles, steady, _ = stepped_rk4(system, forcing, cfg)
+        record = integrate(system, forcing, cfg)
+        assert (record.cycles, record.steady) == (cycles, steady) == (5, True)
+        assert replay_convergence(record, forcing, cfg) == (cycles, steady)
+
+    def test_weakly_coupled_flap_settles_as_stepped(self):
+        # the left flap moves through a coupling 1e-9 of the damping: it is
+        # a difference of two modes ~1e9 times its own size
+        damping = 1.0e6
+        system = SystemMatrices(
+            np.array([[1.0e7, 0.0], [0.0, 1.0e7]]),
+            np.array([[damping, 1e-9 * damping], [1e-9 * damping, damping]]),
+            np.array([4.375e6, 4.375e6]),
+        )
+        forcing = ForcingSpec(self.OMEGA, (FlapForcing(0.0), FlapForcing(1.0e6)))
+        cfg = IntegrationConfig()
+        rotation, _, cycles, steady, _ = stepped_rk4(system, forcing, cfg)
+        record = integrate(system, forcing, cfg)
+        assert (record.cycles, record.steady) == (cycles, steady)
+        assert replay_convergence(record, forcing, cfg) == (cycles, steady)
+        left = np.abs(rotation[:, 0]).max()
+        assert 0.0 < left < 1e-8 * np.abs(rotation[:, 1]).max()
+        # rounding of the modes is the error either way
+        np.testing.assert_allclose(
+            record.rotation, rotation, rtol=0.0, atol=1e-12 * np.abs(rotation).max()
+        )
+
+
 class TestFreqDomain:
     def test_1dof_formula(self):
         omega = 0.5
@@ -571,6 +706,24 @@ class TestHarmonicFit:
         got_amp, got_phase = harmonic_fit(t, amp * np.sin(omega * t + phase), omega)
         assert got_amp == pytest.approx(amp, rel=1e-9)
         assert phase_distance(got_phase, phase) < 1e-9
+
+    def test_columns_fit_as_one_dimensional_series(self):
+        omega = 0.8
+        t = np.arange(0, 2400) * (2 * math.pi / omega / 200) + 3.0
+        noise = np.random.default_rng(5).uniform(-1e-4, 1e-4, t.size)
+        series = np.column_stack([
+            0.5 * np.sin(omega * t + 1.0),
+            2e-3 * np.cos(omega * t) + noise,
+            np.zeros_like(t),
+            -3.0 * np.sin(omega * t - 2.9),
+            1e-7 * np.sin(omega * t + 0.3) + 0.2,
+        ])
+        amplitude, phase = harmonic_fit(t, series, omega)
+        assert amplitude.shape == phase.shape == (series.shape[1],)
+        for i in range(series.shape[1]):
+            amp, ph = harmonic_fit(t, series[:, i], omega)
+            assert amplitude[i] == pytest.approx(amp, rel=1e-15, abs=0.0)
+            assert phase[i] == pytest.approx(ph, rel=0.0, abs=1e-15)
 
 
 class TestResponseMetrics:
