@@ -12,10 +12,10 @@ fixed-step classical RK4 run to harmonic steady state.
 The system is linear and time-invariant and its forcing repeats exactly
 every ``steps_per_period`` steps, so one RK4 step is the affine map
 y <- P y + Im(Q exp(i w t)) and a whole forcing period is an affine map of
-its start state. A period then costs a 4x4 map and, for the convergence
-test, a quadratic form in the start state; the samples of every period are
-built in one array product at the end: the same samples as stepping, up to
-rounding.
+its start state. A period then costs one 4x4 map of its start state; the
+convergence test costs a few array calls per block of periods, a quadratic
+form in each start state, and one array product at the end writes every
+sample into the record: the same samples as stepping, up to rounding.
 ``freq_domain_solve`` solves the physical system with a harmonic ansatz and
 serves as an independent oracle for the integrator.
 """
@@ -159,9 +159,11 @@ class IntegrationConfig:
     convergence_tol: float = 1e-4
 
     def __post_init__(self):
-        for name in ("steps_per_period", "ramp_periods", "measure_periods", "max_periods"):
-            if getattr(self, name) < 1:
-                raise InvalidInputError(f"{name} must be >= 1, got {getattr(self, name)}")
+        # below 3 steps per period the harmonic fit aliases the forcing
+        lows = {"steps_per_period": 3, "ramp_periods": 1, "measure_periods": 1, "max_periods": 1}
+        for name, low in lows.items():
+            if getattr(self, name) < low:
+                raise InvalidInputError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if not 0.0 < self.convergence_tol < math.inf:
             raise InvalidInputError(
                 f"convergence_tol must be positive and finite, got {self.convergence_tol}"
@@ -236,21 +238,26 @@ def integrate(
     RK4 step is y <- P y + Im(Q exp(i w t)), with P RK4's stability
     polynomial in dt*A. The powers P^j and the cycle from rest S_j
     (j = 1..steps_per_period) are built once per call, so sample j of the
-    period that starts from y_c is P^j @ y_c + S_j. Each period then costs
-    O(1): its start state is a 4x4 map (plus offset) of the last one, and
-    each flap's rotation RMS over it is a quadratic form in y_c, summed
-    once per call and evaluated as the norm of a triangular factor. Only
-    the start states are kept; one array product against the stacked P^j
-    gives every sample at the end, those of step-by-step RK4 up to
+    period that starts from y_c is P^j @ y_c + S_j. A period's own cost is
+    one 4x4 map (plus offset) from its start state to the next. The rest
+    costs a few array calls per block of periods, ramp_periods +
+    measure_periods first and measure_periods after: each flap's rotation
+    RMS over each period of the block is a quadratic form in y_c, summed
+    once per call and evaluated as the norm of a triangular factor, and
+    the drift test runs over the block's RMS list. Only the start states
+    are kept; one array product against the stacked P^j writes every
+    sample into the record at the end, those of step-by-step RK4 up to
     rounding.
 
     A period whose states the bound |P^j| max|y_c| + max|S_j| does not keep
     below 1e140, whose form cancels (a flap that is zero, or nearly so,
     next to its modes) or whose mean square nears the subnormal range is
-    built sample by sample instead and its RMS taken from the samples. Raises NumericalError naming the first offending step
-    when such a period holds a non-finite state. A state whose square
-    overflows counts as non-finite, and so does a period whose rotation RMS
-    overflows, so steady=True is only ever reported for a finite RMS.
+    built sample by sample instead and its RMS taken from the samples; the
+    next block starts after it. Raises NumericalError naming the first
+    offending step when such a period holds a non-finite state. A state
+    whose square overflows counts as non-finite, and so does a period whose
+    rotation RMS overflows, so steady=True is only ever reported for a
+    finite RMS.
     """
     n = system.dof
     free, m, c, k, phasor = _free_model(system, forcing)
@@ -292,17 +299,21 @@ def integrate(
     # starting from y are powers @ y + zero_state, with powers[j] = step^(j+1)
     # and zero_state[j] = Im(s_(j+1)) the cycle that starts from rest:
     # s_(j+1) = step @ s_j + q exp(i w j dt), s_0 = 0. Both stacks double per
-    # pass, since s_(l+j) = step^j @ s_l + exp(i w l dt) s_j.
+    # pass, in place, since s_(l+j) = step^j @ s_l + exp(i w l dt) s_j.
+    d = 2 * nf
     with np.errstate(over="ignore", invalid="ignore"):
         phasor = np.exp(1j * omega * dt * np.arange(steps))
-        powers = step[np.newaxis]
-        forced = q[np.newaxis]
-        while len(powers) < steps:
-            done = len(powers)
-            forced = np.concatenate([forced, powers @ forced[-1] + phasor[done] * forced])
-            powers = np.concatenate([powers, powers @ powers[-1]])
-        powers = powers[:steps]
-        zero_state = forced[:steps].imag
+        powers = np.empty((steps, d, d))
+        forced = np.empty((steps, d), dtype=complex)
+        powers[0], forced[0] = step, q
+        done = 1
+        while done < steps:
+            kept, new = min(done, steps - done), slice(done, min(2 * done, steps))
+            np.matmul(powers[:kept], forced[done - 1], out=forced[new])
+            forced[new] += phasor[done] * forced[:kept]
+            np.matmul(powers[:kept], powers[done - 1], out=powers[new])
+            done *= 2
+        zero_state = forced.imag
 
         # A cycle is then a function of its start state u = (y, 1): the next
         # start state is cycle_map @ u, and the rotation samples of flap i are
@@ -310,83 +321,98 @@ def integrate(
         # the triangular QR factor of rows[i] / sqrt(steps), so the loop
         # touches no sample. As a norm, the form keeps the digits of a flap
         # that is a near difference of its two modes.
-        d = 2 * nf
         stack = np.concatenate([powers, zero_state[:, :, np.newaxis]], axis=2)
         cycle_map = np.eye(d + 1)
         cycle_map[:d] = stack[-1]
         rows = _mode_sums(stack[:, :nf].swapaxes(1, 2)).transpose(2, 0, 1)
-        rfac = np.linalg.qr(rows, mode="r") / math.sqrt(steps)
-        abs_rfac = np.abs(rfac)
+        rfac_t = (np.linalg.qr(rows, mode="r") / math.sqrt(steps)).swapaxes(1, 2)
+        abs_rfac_t = np.abs(rfac_t)
         # no state of a cycle exceeds norm * max|y| + peak, so below 1e140
         # every square, and every sum of squares, of the cycle is finite
         norm = float(np.abs(powers).reshape(2 * steps, -1).sum(axis=1).max())
         peak = float(np.abs(zero_state).reshape(2 * steps, -1).sum(axis=1).max())
 
-        # A cycle the bound does not clear is built sample by sample, as is
-        # one whose form cancels to 1e-8 of the size of its terms or below (a
-        # flap that is zero, or nearly so, next to its modes: the form would
-        # turn its exact zeros into rounding noise) or whose mean square nears
-        # the subnormal range, where the form and the samples round apart;
-        # its RMS then comes from its samples, which the record keeps.
-        # Overflow is detected there, per cycle: a cycle is non-finite when
-        # any flap state, its square or the cycle RMS is, and raises
-        # NumericalError before the convergence test sees it.
-        u = np.zeros(d + 1)
-        u[d] = 1.0
-        starts = []
+        # Start states advance one map per cycle; forms and tests take a block
+        # at once. A cycle the bound does not clear is built sample by sample,
+        # as is one whose form cancels to 1e-8 of the size of its terms or
+        # below (a flap that is zero, or nearly so, next to its modes: the
+        # form would turn its exact zeros into rounding noise) or whose mean
+        # square nears the subnormal range, where the form and the samples
+        # round apart; its RMS then comes from its samples, which the record
+        # keeps. Overflow is detected there: a cycle is non-finite when any
+        # flap state, its square or its RMS is, and raises NumericalError.
+        first = cfg.ramp_periods + cfg.measure_periods
+        starts = np.zeros((min(first + cfg.measure_periods, cfg.max_periods) + 1, d + 1))
+        starts[0, d] = 1.0
         built = {}
         tol = cfg.convergence_tol
         prev_rms = None
         steady = False
-        for cycle in range(cfg.max_periods):
-            starts.append(u)
-            scale = np.abs(u)
-            form = rfac @ u
-            terms = abs_rfac @ scale
-            mean_square = (form * form).sum(axis=1).tolist()
-            magnitude = (terms * terms).sum(axis=1).tolist()
-            if norm * max(scale[:d].tolist()) + peak < 1e140 and all(
-                ms > 1e-8 * mag + 1e-280 for ms, mag in zip(mean_square, magnitude)
-            ):
-                rms = [math.sqrt(ms) for ms in mean_square]
-                u = cycle_map @ u
-            else:
-                modal = powers @ u[:d] + zero_state
-                block = _mode_sums(modal.reshape(steps, 2, nf)).reshape(steps, d)
-                finite = np.isfinite(block * block).all(axis=1)
-                rms = np.sqrt(np.mean(block[:, :nf] ** 2, axis=0))
-                if not (finite.all() and np.isfinite(rms).all()):
-                    # first sample whose square overflows; if every square is
-                    # finite but their sum is not, the last step of the cycle
-                    bad = cycle * steps + (
-                        int(np.argmin(finite)) + 1 if not finite.all() else steps
-                    )
-                    raise NumericalError(
-                        f"state became non-finite at step {bad} (t={bad * dt:.3f} s); "
-                        "the system is likely unstable (negative effective damping)"
-                    )
-                built[cycle] = block
-                u = np.append(modal[-1], 1.0)
-            cycles = cycle + 1
-            if prev_rms is not None and cycles >= cfg.ramp_periods + cfg.measure_periods:
-                if all(abs(r - p) <= tol * max(r, p) for r, p in zip(rms, prev_rms)):
-                    steady = True
+        cycles = 0
+        while not steady and cycles < cfg.max_periods:
+            end = min(max(cycles + cfg.measure_periods, first), cfg.max_periods)
+            if end >= len(starts):  # doubled as needed; rows are written before read
+                starts = np.resize(starts, (min(2 * end, cfg.max_periods) + 1, d + 1))
+            for cycle in range(cycles, end):
+                np.matmul(cycle_map, starts[cycle], out=starts[cycle + 1])
+            block = starts[cycles:end]
+            form = block @ rfac_t
+            terms = np.abs(block) @ abs_rfac_t
+            mean_square = (form * form).sum(axis=2)
+            served = (norm * np.abs(block[:, :d]).max(axis=1) + peak < 1e140) & np.all(
+                mean_square > 1e-8 * (terms * terms).sum(axis=2) + 1e-280, axis=0
+            )
+            rms_list = np.sqrt(mean_square.T).tolist()
+            for cycle, form_path, rms in zip(range(cycles, end), served.tolist(), rms_list):
+                if not form_path:
+                    modal = powers @ starts[cycle, :d] + zero_state
+                    samples = _mode_sums(modal.reshape(steps, 2, nf)).reshape(steps, d)
+                    finite = np.isfinite(samples * samples).all(axis=1)
+                    rms = np.sqrt(np.mean(samples[:, :nf] ** 2, axis=0))
+                    if not (finite.all() and np.isfinite(rms).all()):
+                        # first sample whose square overflows; if every square
+                        # is finite but their sum is not, the cycle's last step
+                        bad = cycle * steps + (
+                            int(np.argmin(finite)) + 1 if not finite.all() else steps
+                        )
+                        raise NumericalError(
+                            f"state became non-finite at step {bad} (t={bad * dt:.3f} s); "
+                            "the system is likely unstable (negative effective damping)"
+                        )
+                    built[cycle] = samples
+                    starts[cycle + 1] = np.append(modal[-1], 1.0)
+                cycles = cycle + 1
+                if prev_rms is not None and cycles >= first:
+                    if all(abs(r - p) <= tol * max(r, p) for r, p in zip(rms, prev_rms)):
+                        steady = True
+                        break
+                prev_rms = rms
+                if not form_path:
                     break
-            prev_rms = rms
 
-        # every modal sample at once, rotations and velocities apart: column
-        # j * nf + i of block b holds mode i of block b at step j of a cycle
+        # one product gives every modal sample, rotations and velocities
+        # apart, straight into the record: column j * nf + i of cycle c holds
+        # mode i at step j of cycle c. The modes then become the flaps in
+        # place; a fixed flap's column stays zero.
         stacked = powers.reshape(steps, 2, nf, d).transpose(1, 3, 0, 2).reshape(2, d, -1)
-        modal = np.array(starts)[:, :d] @ stacked
+        total = cycles * steps + 1
+        time = np.arange(total) * dt
+        states = np.empty((2, total, n))
+        states[:, 0] = 0.0
+        modal = states[:, 1:].reshape(2, cycles, -1) if nf == n else np.empty((2, cycles, steps))
+        np.matmul(starts[:cycles, :d], stacked, out=modal)
         modal += zero_state.reshape(steps, 2, nf).transpose(1, 0, 2).reshape(2, 1, -1)
+        if nf < n:
+            states[:, 1:, free[0]] = modal.reshape(2, -1)
+            states[:, :, 1 - free[0]] = 0.0
+        elif nf == 2:
+            difference = states[:, 1:, 0] - states[:, 1:, 1]
+            states[:, 1:, 0] += states[:, 1:, 1]
+            states[:, 1:, 1] = difference
 
-    total = cycles * steps + 1
-    time = np.arange(total) * dt
-    states = np.zeros((2, total, n))
-    states[:, 1:, free] = _mode_sums(modal.reshape(2, cycles * steps, nf))
-    for cycle, block in built.items():
-        states[:, 1 + cycle * steps : 1 + (cycle + 1) * steps, free] = (
-            block.reshape(steps, 2, nf).swapaxes(0, 1)
+    for cycle, samples in built.items():
+        states[:, 1 + cycle * steps : 1 + (cycle + 1) * steps, free[0] : free[0] + nf] = (
+            samples.reshape(steps, 2, nf).swapaxes(0, 1)
         )
     rotation, velocity = states
     window = slice(total - span, total)
@@ -430,7 +456,8 @@ def harmonic_fit(
     Fits A*sin(w t) + B*cos(w t) over the whole series and returns
     (sqrt(A^2+B^2), atan2(B, A)); the fitted signal is
     amplitude*sin(w t + phase) with phase in (-pi, pi]. The series must
-    span at least three full periods. A 1-D series gives two floats; an
+    span at least three full periods, sampled at least three times per
+    period, or InvalidInputError is raised. A 1-D series gives two floats; an
     (S, n) series is fitted column by column in one solve and gives two
     (n,) arrays.
     """
@@ -447,13 +474,23 @@ def harmonic_fit(
         raise InvalidInputError(
             f"fit window spans {span:.4g} s but at least 3 periods ({min_span:.4g} s) are required"
         )
-    design = np.column_stack([np.sin(omega * t), np.cos(omega * t)])
-    (a, b), *_ = np.linalg.lstsq(design, y, rcond=None)
+    per_period = 2.0 * math.pi / (omega * dt)
+    if per_period < 3.0 * (1.0 - 1e-9):
+        raise InvalidInputError(
+            f"fit window holds {per_period:.4g} samples per period but at least 3 are required"
+        )
+    # at 3 or more samples per period the design has full rank: solve its
+    # normal equations, projecting column by column as a 1-D series would be
+    design = np.array([np.sin(omega * t), np.cos(omega * t)])
+    (ss, sc), (_, cc) = (design @ design.T).tolist()
+    sy, cy = np.array([design @ column for column in y.reshape(t.size, -1).T]).T
+    det = ss * cc - sc * sc
+    a, b = (cc * sy - sc * cy) / det, (ss * cy - sc * sy) / det
     amplitude = np.hypot(a, b)
     phase = np.arctan2(b, a)
     phase = np.where(phase <= -math.pi, phase + 2.0 * math.pi, phase)
     if y.ndim == 1:
-        return float(amplitude), float(phase)
+        return float(amplitude[0]), float(phase[0])
     return amplitude, phase
 
 

@@ -231,6 +231,7 @@ class TestStrictTypes:
             ({"flap": {**FLAP, "inertia_dry_kg_m2": 10**399}}, "inertia_dry_kg_m2"),
             ({"flap": {**FLAP, "inertia_dry_kg_m2": 10**4999}}, "not valid JSON"),
             ({"integration": {"steps_per_period": 10**399}}, "steps_per_period"),
+            ({"integration": {"steps_per_period": 2}}, "steps_per_period must be >= 3"),
             ({"environment": {"water_depth_m": 10**399}}, "too large"),
         ],
         ids=[
@@ -259,6 +260,7 @@ class TestStrictTypes:
             "huge_inertia",
             "over_digit_limit",
             "huge_steps",
+            "aliasing_steps",
             "huge_depth",
         ],
     )

@@ -22,6 +22,7 @@ from oswec.dynamics import (
     phase_distance,
     response_metrics,
 )
+from oswec import dynamics
 from oswec.config import reference_model
 from oswec.errors import InvalidInputError, NumericalError
 from oswec.forcing import (
@@ -591,6 +592,108 @@ class TestQuadraticFormFallback:
         np.testing.assert_allclose(
             record.rotation, rotation, rtol=0.0, atol=1e-12 * np.abs(rotation).max()
         )
+
+
+class TestBlockLoop:
+    """``integrate`` tests convergence a block of cycles at a time: ramp plus
+    measure periods first, then measure periods, and a cycle built from its
+    samples ends its block. Wherever a run stops inside a block, and
+    whichever path its cycles take, the record is the stepper's."""
+
+    def _pair_case(self, **settings):
+        forcing = ForcingSpec(2.0 * math.pi / 10.5, (FlapForcing(1.0, 0.3), FlapForcing(0.8)))
+        return _coupled_pair(), forcing, IntegrationConfig(steps_per_period=40, **settings)
+
+    def _stepped_record(self, system, forcing, cfg):
+        rotation, velocity, cycles, steady, window = stepped_rk4(system, forcing, cfg)
+        record = integrate(system, forcing, cfg)
+        for got, want in ((record.rotation, rotation), (record.velocity, velocity)):
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * np.max(np.abs(want)))
+        assert (record.cycles, record.steady, record.window) == (cycles, steady, window)
+        return record
+
+    def test_never_steady_run_stops_at_max_periods(self):
+        # blocks of 5, 3, 3, 3, 3 cycles and a last one cut to 1 by
+        # max_periods; the pair needs 22 cycles to settle
+        system, forcing, cfg = self._pair_case(ramp_periods=2, measure_periods=3, max_periods=18)
+        record = self._stepped_record(system, forcing, cfg)
+        assert (record.cycles, record.steady) == (18, False)
+        assert record.time.size == 18 * cfg.steps_per_period + 1
+
+    def test_start_states_grow_with_the_run_not_max_periods(self):
+        # room for 1e12 start states would not fit in memory
+        system, forcing, cfg = self._pair_case(
+            ramp_periods=10, measure_periods=10, max_periods=10**12
+        )
+        record = integrate(system, forcing, cfg)
+        assert (record.cycles, record.steady) == (22, True)
+
+    @pytest.mark.parametrize(
+        "ramp, measure, position",
+        [(ramp, 7, 7 - ramp) for ramp in range(1, 8)] + [(15, 7, 21), (20, 5, 24)],
+    )
+    def test_steady_cycle_at_every_position_in_a_block(self, ramp, measure, position):
+        # the pair settles at cycle 22 (index 21): ramp 1..7 puts that cycle
+        # at each position of a 7-cycle block, ramp 15 at the end of the
+        # first block and ramp 20 behind it, where the minimum decides
+        system, forcing, cfg = self._pair_case(
+            ramp_periods=ramp, measure_periods=measure, max_periods=60
+        )
+        record = self._stepped_record(system, forcing, cfg)
+        assert record.steady
+        first, last = ramp + measure, record.cycles - 1
+        assert (last if last < first else (last - first) % measure) == position
+
+    def test_sample_cycle_mid_block_is_followed_by_form_cycles(self, monkeypatch):
+        # a lightly damped flap forced below resonance beats: its start
+        # states swell past the 1e140 bound at cycles 2, 6 and 10 only, so
+        # those are built sample by sample and the cycles between them by
+        # the quadratic form; cycle 2 lies inside the first block
+        system = SystemMatrices(np.array([[1.0e6]]), np.array([[4.0e4]]), np.array([1.0e6]))
+        forcing = ForcingSpec(0.8, (FlapForcing(0.36e6 * 10.0**139.63),))
+        cfg = IntegrationConfig(
+            steps_per_period=40, ramp_periods=1, measure_periods=3, max_periods=120
+        )
+        steps = cfg.steps_per_period
+        built = []
+        mode_sums = dynamics._mode_sums
+
+        def spy(x):
+            if x.shape == (steps, 2, 1):  # the modal samples of one cycle
+                built.append(x[:, 0, 0].copy())
+            return mode_sums(x)
+
+        monkeypatch.setattr(dynamics, "_mode_sums", spy)
+        record = self._stepped_record(system, forcing, cfg)
+        rotation = record.rotation[1:, 0].reshape(record.cycles, steps)
+        sampled = [c for x in built for c in range(record.cycles) if np.array_equal(x, rotation[c])]
+        assert sampled == [2, 6, 10]
+        assert record.steady and record.cycles > 11
+
+
+class TestAliasedSampling:
+    """Below three samples per period a harmonic fit cannot tell the forcing
+    frequency from its alias, so neither the fit nor the integrator accepts it."""
+
+    OMEGA = 0.8
+
+    @pytest.mark.parametrize("per_period", [1, 2])
+    def test_fit_rejects_an_aliased_window(self, per_period):
+        t = np.arange(8 * per_period) * (2.0 * math.pi / self.OMEGA / per_period)
+        with pytest.raises(InvalidInputError, match="samples per period"):
+            harmonic_fit(t, 0.5 * np.sin(self.OMEGA * t + 0.3), self.OMEGA)
+
+    def test_three_samples_per_period_fit_exactly(self):
+        t = np.arange(12) * (2.0 * math.pi / self.OMEGA / 3)
+        amplitude, phase = harmonic_fit(t, 0.5 * np.sin(self.OMEGA * t + 0.3), self.OMEGA)
+        assert amplitude == pytest.approx(0.5, rel=1e-12)
+        assert phase == pytest.approx(0.3, abs=1e-12)
+
+    @pytest.mark.parametrize("steps", [1, 2])
+    def test_integration_config_rejects_aliased_steps(self, steps):
+        with pytest.raises(InvalidInputError, match="steps_per_period must be >= 3"):
+            IntegrationConfig(steps_per_period=steps)
 
 
 class TestFreqDomain:
