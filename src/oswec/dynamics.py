@@ -11,11 +11,14 @@ in-phase and out-of-phase modes. Time integration steps the modes with
 fixed-step classical RK4 run to harmonic steady state.
 The system is linear and time-invariant and its forcing repeats exactly
 every ``steps_per_period`` steps, so one RK4 step is the affine map
-y <- P y + Im(Q exp(i w t)) and a whole forcing period is an affine map of
-its start state. A period then costs one 4x4 map of its start state; the
-convergence test costs a few array calls per block of periods, a quadratic
-form in each start state, and one array product at the end writes every
-sample into the record: the same samples as stepping, up to rounding.
+y <- P y + Im(Q exp(i w t)). Carrying the forcing as a rotating pair
+(cos w t, sin w t) in the state makes it one real linear map, whose powers,
+built by one real recurrence per call, give every sample of a forcing
+period as an affine map of its start state. A period then costs one 4x4
+map of its start state; the convergence test costs a few array calls per
+block of periods, a quadratic form in each start state, and one array
+product at the end writes every sample into the record: the same samples
+as stepping, up to rounding.
 ``freq_domain_solve`` solves the physical system with a harmonic ansatz and
 serves as an independent oracle for the integrator.
 """
@@ -59,14 +62,21 @@ class SystemMatrices:
             raise InvalidInputError(
                 f"matrix shapes disagree: inertia {m.shape}, damping {c.shape}, dof {n}"
             )
-        for name, value, a in (("inertia", m, m), ("damping", c, c), ("stiffness", k, np.diag(k))):
-            if not (np.array_equal(a, a.T) and np.array_equal(a, a[::-1, ::-1])):
-                raise InvalidInputError(f"{name} must be mirror-symmetric, got {value.tolist()}")
-        if not np.all(_mode_sums(m[0]) > 0.0):
+        if n not in (1, 2):
+            raise InvalidInputError(f"expected 1 or 2 degrees of freedom, got {n}")
+        # entry by entry on Python floats, so a NaN anywhere fails (lists
+        # compared whole would short-circuit on identity)
+        for name, a in (("inertia", m), ("damping", c), ("stiffness", k)):
+            flat = a.ravel().tolist()
+            if not all(x == y == z for x, y, z in zip(flat, a.T.ravel().tolist(), flat[::-1])):
+                raise InvalidInputError(f"{name} must be mirror-symmetric, got {a.tolist()}")
+        row = m[0].tolist()
+        modal = [row[0] + row[1], row[0] - row[1]] if n == 2 else row
+        if not all(x > 0.0 for x in modal):
             raise InvalidInputError(
-                f"inertia must be positive-definite, got modal inertias {_mode_sums(m[0]).tolist()}"
+                f"inertia must be positive-definite, got modal inertias {modal}"
             )
-        if np.any(np.diag(c) <= 0.0):
+        if c.item(0) <= 0.0:  # the diagonal is mirror-symmetric: one entry
             raise InvalidInputError("diagonal damping must be positive")
         object.__setattr__(self, "inertia", m)
         object.__setattr__(self, "damping", c)
@@ -216,9 +226,11 @@ def _free_model(system: SystemMatrices, forcing: ForcingSpec) -> tuple:
             f"forcing has {forcing.dof} flaps but the system has {system.dof} degrees of freedom"
         )
     free = forcing.free_indices()
+    phasor = forcing.amplitudes() * np.exp(1j * forcing.phases())
+    if len(free) == system.dof:
+        return free, system.inertia, system.damping, system.stiffness, phasor
     block = np.ix_(free, free)
-    phasor = forcing.amplitudes()[free] * np.exp(1j * forcing.phases()[free])
-    return free, system.inertia[block], system.damping[block], system.stiffness[free], phasor
+    return free, system.inertia[block], system.damping[block], system.stiffness[free], phasor[free]
 
 
 def integrate(
@@ -236,18 +248,21 @@ def integrate(
     The free flaps are stepped as their modes and mapped back to the flaps
     for the test and the record, so flaps forced alike are identical. One
     RK4 step is y <- P y + Im(Q exp(i w t)), with P RK4's stability
-    polynomial in dt*A. The powers P^j and the cycle from rest S_j
-    (j = 1..steps_per_period) are built once per call, so sample j of the
-    period that starts from y_c is P^j @ y_c + S_j. A period's own cost is
+    polynomial in dt*A; with the forcing phase as a rotating pair
+    (cos w t, sin w t) in the state it is one real linear map. Its powers,
+    built once per call by a real recurrence that doubles per pass, hold
+    P^j and the cycle from rest S_j (j = 1..steps_per_period), so sample j
+    of the period that starts from y_c is P^j @ y_c + S_j; every period
+    starts at phase 0. A period's own cost is
     one 4x4 map (plus offset) from its start state to the next. The rest
     costs a few array calls per block of periods, ramp_periods +
     measure_periods first and measure_periods after: each flap's rotation
     RMS over each period of the block is a quadratic form in y_c, summed
     once per call and evaluated as the norm of a triangular factor, and
     the drift test runs over the block's RMS list. Only the start states
-    are kept; one array product against the stacked P^j writes every
-    sample into the record at the end, those of step-by-step RK4 up to
-    rounding.
+    are kept; one array product of the start states (y_c, 1) against the
+    stacked [P^j | S_j] writes every sample into the record at the end,
+    those of step-by-step RK4 up to rounding.
 
     A period whose states the bound |P^j| max|y_c| + max|S_j| does not keep
     below 1e140, whose form cancels (a flap that is zero, or nearly so,
@@ -295,36 +310,39 @@ def integrate(
     k4 = dt * (a_mat @ k3) + g * (z * z)
     q = (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
-    # The forcing repeats every `steps` steps, so the samples of any cycle
-    # starting from y are powers @ y + zero_state, with powers[j] = step^(j+1)
-    # and zero_state[j] = Im(s_(j+1)) the cycle that starts from rest:
-    # s_(j+1) = step @ s_j + q exp(i w j dt), s_0 = 0. Both stacks double per
-    # pass, in place, since s_(l+j) = step^j @ s_l + exp(i w l dt) s_j.
+    # The forcing phase rides in the state: with x = (y, cos w t, sin w t) a
+    # step is the real linear map phi = [[step, b], [0, rot]], b = [Im q, Re q]
+    # and rot the rotation by w dt. The forcing repeats every `steps` steps,
+    # so the samples of any cycle starting from y at phase 0 are
+    # powers @ y + zero_state, where [powers[j] | zero_state[j]] is the top
+    # of phi^(j+1): step^(j+1) and the cycle that starts from rest. The
+    # powers of phi double per pass, in place, one real product each.
     d = 2 * nf
     with np.errstate(over="ignore", invalid="ignore"):
-        phasor = np.exp(1j * omega * dt * np.arange(steps))
-        powers = np.empty((steps, d, d))
-        forced = np.empty((steps, d), dtype=complex)
-        powers[0], forced[0] = step, q
+        stack = np.empty((steps, d + 2, d + 2))
+        stack[0] = 0.0
+        stack[0, :d, :d] = step
+        stack[0, :d, d], stack[0, :d, d + 1] = q.imag, q.real
+        cos_h, sin_h = math.cos(omega * dt), math.sin(omega * dt)
+        stack[0, d:, d:] = [[cos_h, -sin_h], [sin_h, cos_h]]
         done = 1
         while done < steps:
-            kept, new = min(done, steps - done), slice(done, min(2 * done, steps))
-            np.matmul(powers[:kept], forced[done - 1], out=forced[new])
-            forced[new] += phasor[done] * forced[:kept]
-            np.matmul(powers[:kept], powers[done - 1], out=powers[new])
+            new = slice(done, min(2 * done, steps))
+            np.matmul(stack[: new.stop - done], stack[done - 1], out=stack[new])
             done *= 2
-        zero_state = forced.imag
+        samples_map = stack[:, :d, : d + 1]
+        powers, zero_state = samples_map[:, :, :d], samples_map[:, :, d]
 
         # A cycle is then a function of its start state u = (y, 1): the next
         # start state is cycle_map @ u, and the rotation samples of flap i are
         # rows[i] @ u. Their mean square is the quadratic form |R_i u|^2, R_i
         # the triangular QR factor of rows[i] / sqrt(steps), so the loop
         # touches no sample. As a norm, the form keeps the digits of a flap
-        # that is a near difference of its two modes.
-        stack = np.concatenate([powers, zero_state[:, :, np.newaxis]], axis=2)
+        # that is a near difference of its two modes. Every cycle restarts at
+        # phase 0, so the phase never drifts across cycles.
         cycle_map = np.eye(d + 1)
-        cycle_map[:d] = stack[-1]
-        rows = _mode_sums(stack[:, :nf].swapaxes(1, 2)).transpose(2, 0, 1)
+        cycle_map[:d] = samples_map[-1]
+        rows = _mode_sums(samples_map[:, :nf].swapaxes(1, 2)).transpose(2, 0, 1)
         rfac_t = (np.linalg.qr(rows, mode="r") / math.sqrt(steps)).swapaxes(1, 2)
         abs_rfac_t = np.abs(rfac_t)
         # no state of a cycle exceeds norm * max|y| + peak, so below 1e140
@@ -390,18 +408,18 @@ def integrate(
                 if not form_path:
                     break
 
-        # one product gives every modal sample, rotations and velocities
-        # apart, straight into the record: column j * nf + i of cycle c holds
-        # mode i at step j of cycle c. The modes then become the flaps in
-        # place; a fixed flap's column stays zero.
-        stacked = powers.reshape(steps, 2, nf, d).transpose(1, 3, 0, 2).reshape(2, d, -1)
+        # one product of the start states (y, 1) gives every modal sample,
+        # rotations and velocities apart, straight into the record: column
+        # j * nf + i of cycle c holds mode i at step j of cycle c. The modes
+        # then become the flaps in place; a fixed flap's column stays zero.
+        stacked = samples_map.reshape(steps, 2, nf, d + 1).transpose(1, 3, 0, 2)
+        stacked = stacked.reshape(2, d + 1, -1)
         total = cycles * steps + 1
         time = np.arange(total) * dt
         states = np.empty((2, total, n))
         states[:, 0] = 0.0
         modal = states[:, 1:].reshape(2, cycles, -1) if nf == n else np.empty((2, cycles, steps))
-        np.matmul(starts[:cycles, :d], stacked, out=modal)
-        modal += zero_state.reshape(steps, 2, nf).transpose(1, 0, 2).reshape(2, 1, -1)
+        np.matmul(starts[:cycles], stacked, out=modal)
         if nf < n:
             states[:, 1:, free[0]] = modal.reshape(2, -1)
             states[:, :, 1 - free[0]] = 0.0
@@ -513,7 +531,7 @@ def response_metrics(record: ResponseRecord) -> ResponseMetrics:
     """RMS, amplitude, and phase per flap over the record's measure window."""
     t = record.measured(record.time)
     rot = record.measured(record.rotation)
-    rms = np.sqrt(np.mean(rot**2, axis=0))
+    rms = np.sqrt(np.einsum("ij,ij->j", rot, rot) / rot.shape[0])
     amplitude, phase = harmonic_fit(t, rot, record.omega)
     return ResponseMetrics(rms, amplitude, phase, record.steady, record.cycles)
 

@@ -146,7 +146,7 @@ class CaseResult:
 def mean_power(record: ResponseRecord, pto: PTOModel) -> np.ndarray:
     """Mean PTO power per flap [W] over the record's measure window."""
     v = record.measured(record.velocity)
-    return pto.damping * np.mean(v**2, axis=0)
+    return pto.damping * (np.einsum("ij,ij->j", v, v) / v.shape[0])
 
 
 def _simulate(model: Model, system: SystemMatrices, forcing: ForcingSpec) -> CaseResult:

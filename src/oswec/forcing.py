@@ -72,7 +72,7 @@ def build_torque_scenario(s: TorqueScenario, env: Environment = Environment()) -
     elif s.variant is Scenario.OUT_OF_PHASE:
         flaps = (FlapForcing(t0, 0.0), FlapForcing(t0, math.pi))
     elif s.variant is Scenario.ARBITRARY_PHASE:
-        k = solve_dispersion(s.period, env)
+        k = solve_dispersion(s.period, env, s.distance)
         flaps = (FlapForcing(t0, 0.0), FlapForcing(t0, k * s.distance))
     else:  # pragma: no cover
         raise InvalidInputError(f"unknown scenario {s.variant}")
@@ -191,7 +191,7 @@ def build_wave_forcing(
     if not (math.isfinite(distance) and distance >= 0.0):
         raise InvalidInputError(f"distance must be finite and >= 0, got {distance}")
     omega = 2.0 * math.pi / wave.period
-    k = solve_dispersion(wave.period, env)
+    k = solve_dispersion(wave.period, env, distance)
     lam = 2.0 * math.pi / k
     cos_b = math.cos(math.radians(wave.heading_deg))
     front_amp = transfer_at(xfer, wave.period) * wave.amplitude * cos_b

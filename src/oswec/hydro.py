@@ -8,6 +8,7 @@ self-contained runs where no tabulated coefficients are available.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -89,62 +90,78 @@ def wavelength_deep(period: float, env: Environment = Environment()) -> float:
     """Deep-water wavelength g*T^2/(2*pi) [m]."""
     if not period > 0.0:
         raise InvalidInputError(f"period must be positive, got {period}")
-    return env.gravity * period**2 / (2.0 * math.pi)
+    # T * T overflows to inf, where T**2 would raise OverflowError
+    return env.gravity * (period * period) / (2.0 * math.pi)
 
 
-def solve_dispersion(period: float, env: Environment = Environment()) -> float:
+def solve_dispersion(
+    period: float, env: Environment = Environment(), distance: float = 0.0
+) -> float:
     """Wavenumber k [rad/m] from the linear dispersion relation.
 
     Solves omega^2 = g*k*tanh(k*h) by safeguarded Newton iteration seeded
     with the deep-water wavenumber (a bisection fallback keeps the iterate
     inside a bracket). For ``"deep"`` water returns 2*pi/wavelength_deep
-    directly.
+    directly. ``distance`` is the distance the caller multiplies k by.
 
     Raises
     ------
+    InvalidInputError
+        If the period is not positive, or so short or so long that omega^2
+        or the deep-water wavenumber is not a positive, finite, normal
+        float, or k * distance is not finite for a finite distance.
     NumericalError
         If the residual |omega^2 - g*k*tanh(k*h)| / omega^2 has not dropped
         below 1e-12 after 100 iterations.
     """
     if not period > 0.0:
         raise InvalidInputError(f"period must be positive, got {period}")
-    if env.is_deep:
-        return 2.0 * math.pi / wavelength_deep(period, env)
 
-    g = env.gravity
-    h = float(env.water_depth)
+    def in_range(name, value, low=sys.float_info.min):
+        if not low <= value <= sys.float_info.max:
+            raise InvalidInputError(f"wave period {period} s is out of range: {name} is {value}")
+
     omega = 2.0 * math.pi / period
     omega2 = omega * omega
+    in_range("omega^2", omega2)
+    k = 2.0 * math.pi / wavelength_deep(period, env)
+    in_range("the deep-water wavenumber", k)
+    if not env.is_deep:
+        g = env.gravity
+        h = float(env.water_depth)
 
-    def residual(k):
-        return omega2 - g * k * math.tanh(k * h)
+        def residual(k):
+            return omega2 - g * k * math.tanh(k * h)
 
-    # residual is strictly decreasing in k; the true root is >= the deep-water k
-    lo = omega2 / g  # deep-water wavenumber
-    hi = lo
-    while residual(hi) > 0.0:
-        hi *= 2.0
-    k = lo
+        # residual is strictly decreasing in k; the true root is >= the deep-water k
+        lo = omega2 / g  # deep-water wavenumber
+        hi = lo
+        while residual(hi) > 0.0:
+            hi *= 2.0
+        k = lo
 
-    for _ in range(_DISPERSION_MAX_ITER):
-        f = residual(k)
-        if abs(f) / omega2 < _DISPERSION_TOL:
-            return k
-        if f > 0.0:
-            lo = k
+        for _ in range(_DISPERSION_MAX_ITER):
+            f = residual(k)
+            if abs(f) / omega2 < _DISPERSION_TOL:
+                break
+            if f > 0.0:
+                lo = k
+            else:
+                hi = k
+            th = math.tanh(k * h)
+            dfdk = -g * (th + k * h * (1.0 - th * th))
+            k_next = k - f / dfdk
+            if not lo <= k_next <= hi:
+                k_next = 0.5 * (lo + hi)
+            k = k_next
         else:
-            hi = k
-        th = math.tanh(k * h)
-        dfdk = -g * (th + k * h * (1.0 - th * th))
-        k_next = k - f / dfdk
-        if not lo <= k_next <= hi:
-            k_next = 0.5 * (lo + hi)
-        k = k_next
-
-    raise NumericalError(
-        f"dispersion solve did not converge for T={period} s, h={h} m: "
-        f"relative residual {abs(residual(k)) / omega2:.3e}"
-    )
+            raise NumericalError(
+                f"dispersion solve did not converge for T={period} s, h={h} m: "
+                f"relative residual {abs(residual(k)) / omega2:.3e}"
+            )
+    if math.isfinite(distance):  # a distance out of range is its caller's to name
+        in_range(f"k*d at d = {distance} m", k * distance, low=0.0)
+    return k
 
 
 def wavelength(period: float, env: Environment = Environment()) -> float:
@@ -312,7 +329,7 @@ class AnalyticCoefficientSource:
         return self.base.without_coupling()
 
     def pair(self, period: float, distance: float, env: Environment) -> HydroCoefficients:
-        k = solve_dispersion(period, env)
+        k = solve_dispersion(period, env, distance)
         return analytic_coupling(self.base, distance, k, self.alpha, self.eps)
 
     def describe(self) -> dict:

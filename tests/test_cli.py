@@ -501,3 +501,29 @@ class TestUsageErrors:
 
     def test_missing_subcommand_exits_1(self, fast_config):
         assert main([str(fast_config)]) == 1
+
+
+class TestExtremePeriods:
+    """Periods whose wave scales leave the float range exit 1 as
+    configuration errors naming the period, in deep and finite water."""
+
+    @pytest.mark.parametrize(
+        "depth, period, distance",
+        [
+            ("deep", "1e-300", "10"),
+            ("deep", "1e300", "10"),
+            ("deep", "1e-160", "10"),
+            ("deep", "7e-154", "33"),
+            (50.0, "1e300", "10"),
+        ],
+    )
+    def test_configuration_error(self, fast_config, capsys, depth, period, distance):
+        data = json.loads(fast_config.read_text())
+        data["environment"]["water_depth_m"] = depth
+        fast_config.write_text(json.dumps(data))
+        args = ["simulate", "--wave", "--H", "1.75", "--Te", period, "--d", distance]
+        assert main([str(fast_config), *args]) == 1
+        err = capsys.readouterr().err
+        assert f"configuration error: wave period {float(period)} s is out of range" in err
+        assert "Traceback" not in err
+        assert not out_dir(fast_config).exists()

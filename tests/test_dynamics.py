@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -492,6 +493,31 @@ def test_convergence_replays_from_the_record(case):
         assert record.cycles == cfg.max_periods
 
 
+@given(linear_systems())
+@settings(max_examples=100, deadline=None)
+def test_integrate_matches_the_stepper(case):
+    """The record built from powers of the phase-carrying step map is the
+    literal stepper's, or both name the same first non-finite step. Every
+    run ends at max_periods, so no verdict on the edge of the drift test
+    can set the two apart."""
+    system, forcing, cfg = case
+    cfg = replace(cfg, steps_per_period=37, max_periods=cfg.ramp_periods + cfg.measure_periods)
+    try:
+        rotation, velocity, cycles, _, window = stepped_rk4(system, forcing, cfg)
+    except NumericalError as stepped:
+        with pytest.raises(NumericalError) as mapped:
+            integrate(system, forcing, cfg)
+        assert _step_named(mapped) == int(re.search(r"step (\d+)", str(stepped)).group(1))
+        return
+    record = integrate(system, forcing, cfg)
+    assert (record.cycles, record.window) == (cycles, window)
+    for got, want in ((record.rotation, rotation), (record.velocity, velocity)):
+        assert got.shape == want.shape
+        # a subnormal peak holds fewer digits: there, 1e-12 of the least normal float
+        scale = max(np.max(np.abs(want)), sys.float_info.min)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * scale)
+
+
 class TestQuadraticFormFallback:
     """Cycles whose RMS the quadratic form cannot give are built from samples."""
 
@@ -960,6 +986,22 @@ class TestValidation:
     def test_pair_must_be_mirror_symmetric(self, field, inertia, damping, stiffness):
         with pytest.raises(InvalidInputError, match=f"^{field} must be mirror-symmetric"):
             SystemMatrices(np.array(inertia), np.array(damping), np.array(stiffness))
+
+    @pytest.mark.parametrize("field", ["inertia", "damping", "stiffness"])
+    @pytest.mark.parametrize("dof, index", [(1, 0), (2, 0), (2, 1), (2, 2), (2, 3)])
+    def test_nan_in_any_field_is_rejected(self, field, dof, index):
+        fields = {
+            "inertia": np.eye(dof) * 2.0,
+            "damping": np.eye(dof),
+            "stiffness": np.ones(dof),
+        }
+        fields[field].flat[index % fields[field].size] = math.nan
+        with pytest.raises(InvalidInputError):
+            SystemMatrices(fields["inertia"], fields["damping"], fields["stiffness"])
+
+    def test_three_degrees_of_freedom_rejected(self):
+        with pytest.raises(InvalidInputError, match="expected 1 or 2 degrees of freedom, got 3"):
+            SystemMatrices(np.eye(3), np.eye(3), np.ones(3))
 
     def test_system_matrix_invariants(self):
         with pytest.raises(InvalidInputError):

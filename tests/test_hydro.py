@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -111,6 +112,35 @@ class TestDispersion:
             Environment(water_depth=0.0)
         with pytest.raises(InvalidInputError):
             Environment(gravity=-9.81)
+
+
+class TestExtremePeriods:
+    """A period whose wave scales leave the float range is a configuration
+    error naming the period, not an arithmetic exception or a hang."""
+
+    @pytest.mark.parametrize(
+        "period, depth, distance, name",
+        [
+            (1e-300, "deep", 0.0, "omega^2"),  # omega^2 overflows, T^2 underflows to 0
+            (1e-160, "deep", 10.0, "omega^2"),  # omega^2 overflows, k would too
+            (1e300, "deep", 10.0, "omega^2"),  # omega^2 underflows to 0, T^2 overflows
+            (1e300, 50.0, 10.0, "omega^2"),
+            (3e162, 50.0, 10.0, "omega^2"),  # subnormal omega^2: a Newton bracket that never grows
+            (1.4e154, "deep", 10.0, "the deep-water wavenumber"),  # T^2 overflows
+            (7e-154, "deep", 33.0, "k*d at d = 33.0 m"),  # k finite, k*d not
+        ],
+    )
+    def test_out_of_range_period_is_named(self, period, depth, distance, name):
+        message = f"wave period {period} s is out of range: {name} is"
+        with pytest.raises(InvalidInputError, match=re.escape(message)):
+            solve_dispersion(period, Environment(water_depth=depth), distance)
+
+    def test_infinite_distance_is_left_to_its_caller(self):
+        assert solve_dispersion(8.5, Environment(), math.inf) == solve_dispersion(8.5)
+        with pytest.raises(InvalidInputError, match="distance must be positive and finite"):
+            AnalyticCoefficientSource(HydroCoefficients(2e6, 1e6), 0.3).pair(
+                8.5, math.inf, Environment()
+            )
 
 
 def small_table():
