@@ -15,10 +15,9 @@ y <- P y + Im(Q exp(i w t)). Carrying the forcing as a rotating pair
 (cos w t, sin w t) in the state makes it one real linear map, whose powers,
 built by one real recurrence per call, give every sample of a forcing
 period as an affine map of its start state. A period then costs one 4x4
-map of its start state; the convergence test costs a few array calls per
-block of periods, a quadratic form in each start state, and one array
-product at the end writes every sample into the record: the same samples
-as stepping, up to rounding.
+map of its start state; per block of periods, one array product writes
+every sample into the record (the same samples as stepping, up to
+rounding), and the convergence test reads each period's RMS from them.
 ``freq_domain_solve`` solves the physical system with a harmonic ansatz and
 serves as an independent oracle for the integrator.
 """
@@ -253,26 +252,19 @@ def integrate(
     built once per call by a real recurrence that doubles per pass, hold
     P^j and the cycle from rest S_j (j = 1..steps_per_period), so sample j
     of the period that starts from y_c is P^j @ y_c + S_j; every period
-    starts at phase 0. A period's own cost is
-    one 4x4 map (plus offset) from its start state to the next. The rest
-    costs a few array calls per block of periods, ramp_periods +
-    measure_periods first and measure_periods after: each flap's rotation
-    RMS over each period of the block is a quadratic form in y_c, summed
-    once per call and evaluated as the norm of a triangular factor, and
-    the drift test runs over the block's RMS list. Only the start states
-    are kept; one array product of the start states (y_c, 1) against the
-    stacked [P^j | S_j] writes every sample into the record at the end,
-    those of step-by-step RK4 up to rounding.
+    starts at phase 0. A period's own cost is one 4x4 map (plus offset)
+    from its start state to the next. The rest costs a few array calls per
+    block of periods, ramp_periods + measure_periods first and
+    measure_periods after: one array product of the block's start states
+    (y_c, 1) against the stacked [P^j | S_j] writes its samples, those of
+    step-by-step RK4 up to rounding, straight into the record, and each
+    period's rotation RMS and finiteness test are taken from those very
+    samples before the drift test runs over the block's RMS list.
 
-    A period whose states the bound |P^j| max|y_c| + max|S_j| does not keep
-    below 1e140, whose form cancels (a flap that is zero, or nearly so,
-    next to its modes) or whose mean square nears the subnormal range is
-    built sample by sample instead and its RMS taken from the samples; the
-    next block starts after it. Raises NumericalError naming the first
-    offending step when such a period holds a non-finite state. A state
-    whose square overflows counts as non-finite, and so does a period whose
-    rotation RMS overflows, so steady=True is only ever reported for a
-    finite RMS.
+    Raises NumericalError naming the first offending step when a period
+    holds a non-finite state. A state whose square overflows counts as
+    non-finite, and so does a period whose rotation RMS overflows, so
+    steady=True is only ever reported for a finite RMS.
     """
     n = system.dof
     free, m, c, k, phasor = _free_model(system, forcing)
@@ -331,108 +323,88 @@ def integrate(
             np.matmul(stack[: new.stop - done], stack[done - 1], out=stack[new])
             done *= 2
         samples_map = stack[:, :d, : d + 1]
-        powers, zero_state = samples_map[:, :, :d], samples_map[:, :, d]
 
         # A cycle is then a function of its start state u = (y, 1): the next
-        # start state is cycle_map @ u, and the rotation samples of flap i are
-        # rows[i] @ u. Their mean square is the quadratic form |R_i u|^2, R_i
-        # the triangular QR factor of rows[i] / sqrt(steps), so the loop
-        # touches no sample. As a norm, the form keeps the digits of a flap
-        # that is a near difference of its two modes. Every cycle restarts at
-        # phase 0, so the phase never drifts across cycles.
+        # start state is cycle_map @ u, and one product of u against stacked
+        # gives its modal samples, rotations and velocities apart: column
+        # j * nf + i holds mode i at step j. Every cycle restarts at phase 0,
+        # so the phase never drifts across cycles. A one-cycle block goes to
+        # BLAS gemv, which rounds apart from the gemm of longer blocks; with
+        # stacked the transposed view of a C-contiguous array, a flap that is
+        # a rounding-level difference of its modes keeps the stepper's verdict.
         cycle_map = np.eye(d + 1)
         cycle_map[:d] = samples_map[-1]
-        rows = _mode_sums(samples_map[:, :nf].swapaxes(1, 2)).transpose(2, 0, 1)
-        rfac_t = (np.linalg.qr(rows, mode="r") / math.sqrt(steps)).swapaxes(1, 2)
-        abs_rfac_t = np.abs(rfac_t)
-        # no state of a cycle exceeds norm * max|y| + peak, so below 1e140
-        # every square, and every sum of squares, of the cycle is finite
-        norm = float(np.abs(powers).reshape(2 * steps, -1).sum(axis=1).max())
-        peak = float(np.abs(zero_state).reshape(2 * steps, -1).sum(axis=1).max())
+        stacked = samples_map.reshape(steps, 2, nf, d + 1).swapaxes(0, 1)
+        stacked = stacked.reshape(2, steps * nf, d + 1).swapaxes(1, 2)
 
-        # Start states advance one map per cycle; forms and tests take a block
-        # at once. A cycle the bound does not clear is built sample by sample,
-        # as is one whose form cancels to 1e-8 of the size of its terms or
-        # below (a flap that is zero, or nearly so, next to its modes: the
-        # form would turn its exact zeros into rounding noise) or whose mean
-        # square nears the subnormal range, where the form and the samples
-        # round apart; its RMS then comes from its samples, which the record
-        # keeps. Overflow is detected there: a cycle is non-finite when any
-        # flap state, its square or its RMS is, and raises NumericalError.
+        # Start states advance one map per cycle; samples and tests take a
+        # block of cycles at once. The block's samples go straight into the
+        # record, the modes become the flaps in place, and each cycle is
+        # judged on those very samples: it is non-finite when any flap state,
+        # its square or its rotation RMS is, and raises NumericalError. A
+        # finite sum of squares clears every square of its cycle at once. The
+        # start states and the record grow by doubling, never to max_periods.
         first = cfg.ramp_periods + cfg.measure_periods
-        starts = np.zeros((min(first + cfg.measure_periods, cfg.max_periods) + 1, d + 1))
+        size = min(first + cfg.measure_periods, cfg.max_periods)
+        starts = np.zeros((size + 1, d + 1))
         starts[0, d] = 1.0
-        built = {}
+        states = np.empty((2, size * steps + 1, nf))
+        states[:, 0] = 0.0
+        ones = np.ones(steps)
         tol = cfg.convergence_tol
         prev_rms = None
         steady = False
         cycles = 0
         while not steady and cycles < cfg.max_periods:
             end = min(max(cycles + cfg.measure_periods, first), cfg.max_periods)
-            if end >= len(starts):  # doubled as needed; rows are written before read
-                starts = np.resize(starts, (min(2 * end, cfg.max_periods) + 1, d + 1))
+            if end > size:  # rows are written before read
+                size = min(2 * end, cfg.max_periods)
+                starts = np.resize(starts, (size + 1, d + 1))
+                kept = states[:, : cycles * steps + 1]
+                states = np.empty((2, size * steps + 1, nf))
+                states[:, : kept.shape[1]] = kept
             for cycle in range(cycles, end):
                 np.matmul(cycle_map, starts[cycle], out=starts[cycle + 1])
-            block = starts[cycles:end]
-            form = block @ rfac_t
-            terms = np.abs(block) @ abs_rfac_t
-            mean_square = (form * form).sum(axis=2)
-            served = (norm * np.abs(block[:, :d]).max(axis=1) + peak < 1e140) & np.all(
-                mean_square > 1e-8 * (terms * terms).sum(axis=2) + 1e-280, axis=0
-            )
-            rms_list = np.sqrt(mean_square.T).tolist()
-            for cycle, form_path, rms in zip(range(cycles, end), served.tolist(), rms_list):
-                if not form_path:
-                    modal = powers @ starts[cycle, :d] + zero_state
-                    samples = _mode_sums(modal.reshape(steps, 2, nf)).reshape(steps, d)
-                    finite = np.isfinite(samples * samples).all(axis=1)
-                    rms = np.sqrt(np.mean(samples[:, :nf] ** 2, axis=0))
-                    if not (finite.all() and np.isfinite(rms).all()):
+            block = states[:, 1 + cycles * steps : 1 + end * steps]
+            np.matmul(starts[cycles:end], stacked, out=block.reshape(2, end - cycles, -1))
+            if nf == 2:
+                difference = block[:, :, 0] - block[:, :, 1]
+                block[:, :, 0] += block[:, :, 1]
+                block[:, :, 1] = difference
+            block = block.reshape(2, end - cycles, steps, nf)
+            squares = block * block
+            sums = ones @ squares  # (rotation or velocity, cycle, flap)
+            rms_list = np.sqrt(sums[0] / steps).tolist()
+            cleared = np.isfinite(sums).all(axis=(0, 2)).tolist()
+            for cycle, cycle_squares, rms, finite in zip(
+                range(cycles, end), squares.swapaxes(0, 1), rms_list, cleared
+            ):
+                if not finite:
+                    good = np.isfinite(cycle_squares).all(axis=(0, 2))
+                    if not (good.all() and np.isfinite(rms).all()):
                         # first sample whose square overflows; if every square
                         # is finite but their sum is not, the cycle's last step
                         bad = cycle * steps + (
-                            int(np.argmin(finite)) + 1 if not finite.all() else steps
+                            int(np.argmin(good)) + 1 if not good.all() else steps
                         )
                         raise NumericalError(
                             f"state became non-finite at step {bad} (t={bad * dt:.3f} s); "
                             "the system is likely unstable (negative effective damping)"
                         )
-                    built[cycle] = samples
-                    starts[cycle + 1] = np.append(modal[-1], 1.0)
                 cycles = cycle + 1
                 if prev_rms is not None and cycles >= first:
                     if all(abs(r - p) <= tol * max(r, p) for r, p in zip(rms, prev_rms)):
                         steady = True
                         break
                 prev_rms = rms
-                if not form_path:
-                    break
 
-        # one product of the start states (y, 1) gives every modal sample,
-        # rotations and velocities apart, straight into the record: column
-        # j * nf + i of cycle c holds mode i at step j of cycle c. The modes
-        # then become the flaps in place; a fixed flap's column stays zero.
-        stacked = samples_map.reshape(steps, 2, nf, d + 1).transpose(1, 3, 0, 2)
-        stacked = stacked.reshape(2, d + 1, -1)
-        total = cycles * steps + 1
-        time = np.arange(total) * dt
-        states = np.empty((2, total, n))
-        states[:, 0] = 0.0
-        modal = states[:, 1:].reshape(2, cycles, -1) if nf == n else np.empty((2, cycles, steps))
-        np.matmul(starts[:cycles], stacked, out=modal)
-        if nf < n:
-            states[:, 1:, free[0]] = modal.reshape(2, -1)
-            states[:, :, 1 - free[0]] = 0.0
-        elif nf == 2:
-            difference = states[:, 1:, 0] - states[:, 1:, 1]
-            states[:, 1:, 0] += states[:, 1:, 1]
-            states[:, 1:, 1] = difference
-
-    for cycle, samples in built.items():
-        states[:, 1 + cycle * steps : 1 + (cycle + 1) * steps, free[0] : free[0] + nf] = (
-            samples.reshape(steps, 2, nf).swapaxes(0, 1)
-        )
-    rotation, velocity = states
+    total = cycles * steps + 1
+    time = np.arange(total) * dt
+    if nf < n:  # the fixed flap's columns stay zero
+        flaps = np.zeros((2, total, n))
+        flaps[:, :, free[0]] = states[:, :total, 0]
+        states = flaps
+    rotation, velocity = states[:, :total]
     window = slice(total - span, total)
     return ResponseRecord(time, rotation, velocity, omega, steady, cycles, window)
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .dynamics import FlapForcing, ForcingSpec
 from .errors import InvalidInputError, read_table
-from .hydro import Environment, solve_dispersion
+from .hydro import Environment, angular_frequency, solve_dispersion
 
 
 class Scenario(enum.Enum):
@@ -47,6 +47,7 @@ class TorqueScenario:
             )
         if not (math.isfinite(self.period) and self.period > 0.0):
             raise InvalidInputError(f"period must be positive and finite, got {self.period}")
+        angular_frequency(self.period, "torque period")
         if not math.isfinite(self.distance):
             raise InvalidInputError(f"distance must be finite, got {self.distance}")
         if self.variant is Scenario.ARBITRARY_PHASE and not self.distance > 0.0:
@@ -97,6 +98,7 @@ class WaveCondition:
             raise InvalidInputError(f"wave height must be positive and finite, got {self.height}")
         if not (math.isfinite(self.period) and self.period > 0.0):
             raise InvalidInputError(f"wave period must be positive and finite, got {self.period}")
+        angular_frequency(self.period)
         if not 0.0 <= self.heading_deg < 90.0:
             raise InvalidInputError(
                 f"heading must be in [0, 90) degrees, got {self.heading_deg}"

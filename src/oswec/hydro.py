@@ -94,6 +94,20 @@ def wavelength_deep(period: float, env: Environment = Environment()) -> float:
     return env.gravity * (period * period) / (2.0 * math.pi)
 
 
+def angular_frequency(period: float, what: str = "wave period") -> float:
+    """Angular frequency 2*pi/period [rad/s] of a forcing period.
+
+    Raises InvalidInputError, naming the period as ``what``, if the period
+    is not positive or omega^2 is not a positive, finite, normal float.
+    """
+    if not period > 0.0:
+        raise InvalidInputError(f"period must be positive, got {period}")
+    omega = 2.0 * math.pi / period
+    if not sys.float_info.min <= omega * omega <= sys.float_info.max:
+        raise InvalidInputError(f"{what} {period} s is out of range: omega^2 is {omega * omega}")
+    return omega
+
+
 def solve_dispersion(
     period: float, env: Environment = Environment(), distance: float = 0.0
 ) -> float:
@@ -114,16 +128,13 @@ def solve_dispersion(
         If the residual |omega^2 - g*k*tanh(k*h)| / omega^2 has not dropped
         below 1e-12 after 100 iterations.
     """
-    if not period > 0.0:
-        raise InvalidInputError(f"period must be positive, got {period}")
+    omega = angular_frequency(period)
+    omega2 = omega * omega
 
     def in_range(name, value, low=sys.float_info.min):
         if not low <= value <= sys.float_info.max:
             raise InvalidInputError(f"wave period {period} s is out of range: {name} is {value}")
 
-    omega = 2.0 * math.pi / period
-    omega2 = omega * omega
-    in_range("omega^2", omega2)
     k = 2.0 * math.pi / wavelength_deep(period, env)
     in_range("the deep-water wavenumber", k)
     if not env.is_deep:

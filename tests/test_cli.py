@@ -1,6 +1,7 @@
 import json
 import math
 import pathlib
+import warnings
 
 import pytest
 
@@ -527,3 +528,27 @@ class TestExtremePeriods:
         assert f"configuration error: wave period {float(period)} s is out of range" in err
         assert "Traceback" not in err
         assert not out_dir(fast_config).exists()
+
+    @pytest.mark.parametrize(
+        "table, args",
+        [
+            (False, ["--scenario", "single", "--Te", "1e300"]),
+            (False, ["--scenario", "single", "--Te", "1e-300"]),
+            (True, ["--scenario", "in-phase", "--Te", "1e-300", "--d", "10"]),
+        ],
+        ids=["single-1e300", "single-1e-300", "table-in-phase-1e-300"],
+    )
+    def test_torque_period_is_a_configuration_error(
+        self, fast_config, configs_dir, tmp_path, capsys, table, args
+    ):
+        config = configs_dir / "reference_table.json" if table else fast_config
+        out = tmp_path / "bad"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([str(config), "--out", str(out), "simulate", "--T0", "1e6", *args])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "configuration error: torque period" in err
+        assert "Traceback" not in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert not out.exists()

@@ -23,7 +23,6 @@ from oswec.dynamics import (
     phase_distance,
     response_metrics,
 )
-from oswec import dynamics
 from oswec.config import reference_model
 from oswec.errors import InvalidInputError, NumericalError
 from oswec.forcing import (
@@ -334,6 +333,17 @@ def _growing_case():
     return system, forcing, replace(UNSTABLE_CFG, max_periods=85)
 
 
+def _beating_flap_case():
+    # a lightly damped flap forced below resonance beats, its states
+    # swelling and shrinking between 4e139 and 7e139 over 25 cycles
+    system = SystemMatrices(np.array([[1.0e6]]), np.array([[4.0e4]]), np.array([1.0e6]))
+    forcing = ForcingSpec(0.8, (FlapForcing(0.36e6 * 10.0**139.63),))
+    cfg = IntegrationConfig(
+        steps_per_period=40, ramp_periods=1, measure_periods=3, max_periods=120
+    )
+    return system, forcing, cfg
+
+
 def _step_named(excinfo) -> int:
     return int(re.search(r"non-finite at step (\d+)", str(excinfo.value)).group(1))
 
@@ -355,6 +365,7 @@ class TestCycleMapMatchesStepper:
             lambda: _torque_case(Scenario.RIGHT_ONLY_LEFT_FREE, 86.0, 7.5),
             lambda: _torque_case(Scenario.RIGHT_ONLY_LEFT_FREE, 55.0, 7.5),
             lambda: _torque_case(Scenario.OUT_OF_PHASE, 10.0, 8.5),
+            _beating_flap_case,
         ],
         ids=[
             "reference-flap",
@@ -367,6 +378,7 @@ class TestCycleMapMatchesStepper:
             "right-only-left-free-d86-Te7.5",
             "right-only-left-free-d55-Te7.5",
             "out-of-phase-d10-Te8.5",
+            "beating-1e139.63",
         ],
     )
     def test_same_record(self, case):
@@ -478,9 +490,9 @@ def replay_convergence(record, forcing, cfg):
 @given(linear_systems())
 @settings(max_examples=150, deadline=None)
 def test_convergence_replays_from_the_record(case):
-    """``integrate`` takes each cycle's RMS from a quadratic form in the
-    cycle's start state; the same rule on the RMS of the recorded samples
-    must stop at the same cycle with the same verdict."""
+    """``integrate`` takes each cycle's RMS from a block-wise sum of its
+    samples' squares; the same rule on numpy's mean over the recorded
+    samples must stop at the same cycle with the same verdict."""
     system, forcing, cfg = case
     if not forcing.free_indices():
         return
@@ -519,7 +531,9 @@ def test_integrate_matches_the_stepper(case):
 
 
 class TestQuadraticFormFallback:
-    """Cycles whose RMS the quadratic form cannot give are built from samples."""
+    """Cycles at the edges of the float range, and flaps that cancel to
+    rounding level next to their modes, take their RMS and verdict from
+    the very samples the record keeps, as the stepper does."""
 
     OMEGA = 2.0 * math.pi / 10.5
 
@@ -529,9 +543,8 @@ class TestQuadraticFormFallback:
         )
 
     def test_states_beyond_the_bound_scale_exactly(self):
-        # at 1e150 N m every state exceeds the 1e140 bound, so every cycle is
-        # built sample by sample; the squares stay finite and the run is the
-        # unit run times 1e150
+        # at 1e150 N m every state exceeds 1e140; the squares stay finite
+        # and the run is the unit run times 1e150
         cfg = IntegrationConfig()
         unit = integrate(_coupled_pair(), self._forcing(1.0), cfg)
         big = integrate(_coupled_pair(), self._forcing(1e150), cfg)
@@ -556,7 +569,7 @@ class TestQuadraticFormFallback:
 
     def test_decoupled_flap_is_exactly_zero(self):
         # no coupling: the left flap is the in-phase mode plus the exactly
-        # opposite out-of-phase mode, so its form cancels completely
+        # opposite out-of-phase mode, so its samples cancel completely
         coeffs = HydroCoefficients(2.0e6, 1.0e6)
         system = assemble_system(FlapProperties(8.0e6, 4.375e6), coeffs, dof=2)
         forcing = ForcingSpec(self.OMEGA, (FlapForcing(0.0), FlapForcing(1.0e6)))
@@ -569,7 +582,7 @@ class TestQuadraticFormFallback:
 
     def test_subnormal_mean_square_settles_as_stepped(self):
         # states near 1e-161 rad have squares in the subnormal range, where
-        # a quadratic form and a sum of squares round differently
+        # sums of squares taken in different orders round differently
         system = SystemMatrices(
             np.array([[1333521.43216332]]), np.array([[31254.40856633]]),
             np.array([333380.35804083]),
@@ -622,9 +635,8 @@ class TestQuadraticFormFallback:
 
 class TestBlockLoop:
     """``integrate`` tests convergence a block of cycles at a time: ramp plus
-    measure periods first, then measure periods, and a cycle built from its
-    samples ends its block. Wherever a run stops inside a block, and
-    whichever path its cycles take, the record is the stepper's."""
+    measure periods first, then measure periods. Wherever a run stops inside
+    a block, the record is the stepper's."""
 
     def _pair_case(self, **settings):
         forcing = ForcingSpec(2.0 * math.pi / 10.5, (FlapForcing(1.0, 0.3), FlapForcing(0.8)))
@@ -670,32 +682,6 @@ class TestBlockLoop:
         assert record.steady
         first, last = ramp + measure, record.cycles - 1
         assert (last if last < first else (last - first) % measure) == position
-
-    def test_sample_cycle_mid_block_is_followed_by_form_cycles(self, monkeypatch):
-        # a lightly damped flap forced below resonance beats: its start
-        # states swell past the 1e140 bound at cycles 2, 6 and 10 only, so
-        # those are built sample by sample and the cycles between them by
-        # the quadratic form; cycle 2 lies inside the first block
-        system = SystemMatrices(np.array([[1.0e6]]), np.array([[4.0e4]]), np.array([1.0e6]))
-        forcing = ForcingSpec(0.8, (FlapForcing(0.36e6 * 10.0**139.63),))
-        cfg = IntegrationConfig(
-            steps_per_period=40, ramp_periods=1, measure_periods=3, max_periods=120
-        )
-        steps = cfg.steps_per_period
-        built = []
-        mode_sums = dynamics._mode_sums
-
-        def spy(x):
-            if x.shape == (steps, 2, 1):  # the modal samples of one cycle
-                built.append(x[:, 0, 0].copy())
-            return mode_sums(x)
-
-        monkeypatch.setattr(dynamics, "_mode_sums", spy)
-        record = self._stepped_record(system, forcing, cfg)
-        rotation = record.rotation[1:, 0].reshape(record.cycles, steps)
-        sampled = [c for x in built for c in range(record.cycles) if np.array_equal(x, rotation[c])]
-        assert sampled == [2, 6, 10]
-        assert record.steady and record.cycles > 11
 
 
 class TestAliasedSampling:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -107,6 +108,15 @@ class TestTorqueScenarios:
         with pytest.raises(InvalidInputError):
             TorqueScenario(Scenario.ARBITRARY_PHASE, 1.0e6, 8.5, 0.0)
 
+    @pytest.mark.parametrize("variant", list(Scenario))
+    @pytest.mark.parametrize("period, omega2", [(1e300, "0.0"), (1e-300, "inf"), (3e162, "5e-324")])
+    def test_out_of_range_period_is_rejected(self, variant, period, omega2):
+        # omega^2 underflows to 0, overflows, or is subnormal: no variant
+        # reaches the integrator, whatever its coefficients
+        message = f"torque period {period} s is out of range: omega^2 is {omega2}"
+        with pytest.raises(InvalidInputError, match=re.escape(message)):
+            TorqueScenario(variant, 1.0e6, period, 10.0)
+
 
 class TestWaveForcing:
     def test_coincident_flaps(self):
@@ -135,6 +145,11 @@ class TestWaveForcing:
         a0 = abs(freq_domain_solve(system, build_single_wave_forcing(WaveCondition(1.75, 8.5, 0.0), XFER, ENV))[0])
         a45 = abs(freq_domain_solve(system, build_single_wave_forcing(WaveCondition(1.75, 8.5, 45.0), XFER, ENV))[0])
         assert (a45 / a0) ** 2 == pytest.approx(0.5, rel=1e-12)
+
+    def test_out_of_range_period_is_rejected(self):
+        # the single-flap baseline solves no dispersion relation
+        with pytest.raises(InvalidInputError, match="wave period 1e[+]300 s is out of range"):
+            WaveCondition(1.75, 1e300)
 
     def test_heading_90_rejected(self):
         with pytest.raises(InvalidInputError):
