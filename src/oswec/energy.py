@@ -237,6 +237,13 @@ class JPD:
 JPD_HEADER_CELL = r"hs_m\te_s"
 
 
+def _has_duplicates(values: list[float]) -> bool:
+    """Whether two values are equal, counting 0.0 and -0.0 as one value and
+    every NaN as one value, as ``np.unique`` does (which would import
+    ``numpy.ma``)."""
+    return len({v if v == v else None for v in values}) != len(values)
+
+
 def load_jpd(path) -> JPD:
     """Load a JPD CSV: header ``hs_m\\te_s,<te centers>``, one row per Hs center."""
     with open_input(path, "JPD") as fh:
@@ -249,17 +256,17 @@ def load_jpd(path) -> JPD:
             f"{path}: first header cell must be {JPD_HEADER_CELL!r}, got {header[0]!r}"
         )
     try:
-        te = np.array([float(c) for c in header[1:]])
+        te = [float(c) for c in header[1:]]
     except ValueError as exc:
         raise InvalidInputError(f"{path}:1: bad period header: {exc}") from None
-    if te.size == 0:
+    if not te:
         raise InvalidInputError(f"{path}: JPD header has no period bins")
     hs = []
     occ = []
     for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != te.size + 1:
+        if len(row) != len(te) + 1:
             raise InvalidInputError(
-                f"{path}:{lineno}: expected {te.size + 1} columns, got {len(row)}"
+                f"{path}:{lineno}: expected {len(te) + 1} columns, got {len(row)}"
             )
         try:
             hs.append(float(row[0]))
@@ -283,18 +290,19 @@ def load_jpd(path) -> JPD:
         occ.append(fractions)
     if not hs:
         raise InvalidInputError(f"{path}: JPD has no Hs rows")
+    if _has_duplicates(hs):
+        raise InvalidInputError(f"{path}: duplicate Hs rows")
+    if _has_duplicates(te):
+        raise InvalidInputError(f"{path}: duplicate Te columns")
     # cells may come in any order; sort both axes so reordering a file
     # never changes the parsed distribution
     hs_arr = np.array(hs)
+    te_arr = np.array(te)
     occ_arr = np.array(occ)
-    if np.unique(hs_arr).size != hs_arr.size:
-        raise InvalidInputError(f"{path}: duplicate Hs rows")
-    if np.unique(te).size != te.size:
-        raise InvalidInputError(f"{path}: duplicate Te columns")
     row_order = np.argsort(hs_arr)
-    col_order = np.argsort(te)
+    col_order = np.argsort(te_arr)
     try:
-        return JPD(hs_arr[row_order], te[col_order], occ_arr[np.ix_(row_order, col_order)])
+        return JPD(hs_arr[row_order], te_arr[col_order], occ_arr[np.ix_(row_order, col_order)])
     except InvalidInputError as exc:
         raise InvalidInputError(f"{path}: {exc}") from None
 
@@ -357,10 +365,12 @@ def evaluate_linear(fn, model: Model, cases) -> list:
         unit = _attempt(fn, model, *key)
         if isinstance(unit, CaseResult) and unit.metrics.steady:
             record = unit.record
-            peak = float(max(np.max(np.abs(record.rotation)), np.max(np.abs(record.velocity))))
+            rot, vel = record.rotation, record.velocity
+            # the largest magnitude, without a record-sized np.abs array
+            peak = float(max(-rot.min(), rot.max(), -vel.min(), vel.max()))
             room = math.sqrt(np.finfo(float).max / (4.0 * record.time.size))
             units[key] = (replace(unit, record=None), room / peak if peak > 0.0 else math.inf)
-            del record
+            del record, rot, vel
         del unit  # the record goes before the next key runs
 
     results = []
@@ -449,9 +459,14 @@ def _energy_wh(pm: PowerMatrix, jpd: JPD) -> np.ndarray:
     return pm.power_total * jpd.occurrence * HOURS_PER_YEAR
 
 
+def _gwh(energy_wh: np.ndarray) -> float:
+    """The total of an annual energy table [Wh], in GWh."""
+    return float(energy_wh.sum()) / 1e9
+
+
 def annual_energy(pm: PowerMatrix, jpd: JPD) -> float:
     """JPD-weighted annual energy of a power matrix [GWh]."""
-    return float(_energy_wh(pm, jpd).sum()) / 1e9
+    return _gwh(_energy_wh(pm, jpd))
 
 
 def write_power_matrix_csv(pm: PowerMatrix, jpd: JPD, path) -> None:
@@ -459,28 +474,32 @@ def write_power_matrix_csv(pm: PowerMatrix, jpd: JPD, path) -> None:
     energy = _energy_wh(pm, jpd)
     dual = pm.power_per_flap.shape[2] == 2
     flap_cols = ["power_front_W", "power_back_W"] if dual else ["power_W"]
+    te_bins = pm.te_bins.tolist()
+    # one list per Hs row of each table, walked as Python floats and bools
+    hs_rows = zip(
+        pm.hs_bins.tolist(),
+        pm.power_per_flap.tolist(),
+        pm.power_total.tolist(),
+        jpd.occurrence.tolist(),
+        energy.tolist(),
+        pm.steady.tolist(),
+        pm.computed.tolist(),
+    )
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["hs_m", "te_s", *flap_cols, "power_total_W", "occurrence_fraction", "energy_Wh", "steady", "computed"]
         )
-        for i, j in np.ndindex(energy.shape):
-            numbers = (
-                pm.hs_bins[i],
-                pm.te_bins[j],
-                *pm.power_per_flap[i, j],
-                pm.power_total[i, j],
-                jpd.occurrence[i, j],
-                energy[i, j],
-            )
-            writer.writerow(
-                [*map(format_number, numbers), int(pm.steady[i, j]), int(pm.computed[i, j])]
-            )
-        fh.write(f"# total_annual_energy_GWh={format_number(annual_energy(pm, jpd))}\n")
+        for hs, *row in hs_rows:
+            for te, flaps, total, occurrence, wh, steady, computed in zip(te_bins, *row):
+                numbers = (hs, te, *flaps, total, occurrence, wh)
+                writer.writerow([*map(format_number, numbers), int(steady), int(computed)])
+        fh.write(f"# total_annual_energy_GWh={format_number(_gwh(energy))}\n")
 
 
 def power_matrix_payload(pm: PowerMatrix, jpd: JPD) -> dict:
     """JSON-ready dict of a power matrix with its configuration descriptor."""
+    energy = _energy_wh(pm, jpd)
     return {
         "config": dict(pm.config),
         "hs_bins_m": pm.hs_bins.tolist(),
@@ -491,6 +510,6 @@ def power_matrix_payload(pm: PowerMatrix, jpd: JPD) -> dict:
         "computed": pm.computed.tolist(),
         "errors": list(pm.errors),
         "occurrence": jpd.occurrence.tolist(),
-        "energy_Wh": _energy_wh(pm, jpd).tolist(),
-        "total_annual_energy_GWh": annual_energy(pm, jpd),
+        "energy_Wh": energy.tolist(),
+        "total_annual_energy_GWh": _gwh(energy),
     }

@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -552,3 +555,51 @@ class TestExtremePeriods:
         assert "Traceback" not in err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert not out.exists()
+
+
+# runs one command in a fresh interpreter and writes every module it loaded
+_RECORD_MODULES = """
+import json, sys
+from oswec.cli import main
+code = main(sys.argv[2:])
+with open(sys.argv[1], "w") as fh:
+    json.dump({"code": code, "modules": sorted(sys.modules)}, fh)
+"""
+
+
+class TestCommandImports:
+    """Each command loads only what it needs of numpy. pytest's own process
+    may already hold ``numpy.ma``, so every command runs in a fresh
+    interpreter."""
+
+    @pytest.mark.parametrize(
+        "config, args",
+        [
+            ("reference.json", ["simulate", "--wave", "--H", "1.75", "--Te", "9.5", "--d", "10"]),
+            ("reference.json", ["sweep", "--study", "wave"]),
+            ("reference.json", ["aep", "--jpd", "sample_jpd.csv", "--distances", "10"]),
+            ("reference_table.json", ["aep", "--jpd", "sample_jpd.csv", "--distances", "10"]),
+            ("reference.json", ["verify", "--cases", "1"]),
+        ],
+        ids=["simulate", "sweep-wave", "aep", "aep-table", "verify"],
+    )
+    def test_numpy_submodules_loaded(self, repo_root, configs_dir, data_dir, tmp_path, config, args):
+        args = [str(data_dir / a) if a.endswith(".csv") else a for a in args]
+        record = tmp_path / "modules.json"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(repo_root / "src"), env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", _RECORD_MODULES, str(record),
+             str(configs_dir / config), "--out", str(tmp_path / "out"), *args],
+            capture_output=True, text=True, timeout=300, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded = json.loads(record.read_text())
+        assert loaded["code"] == 0, proc.stderr
+        modules = set(loaded["modules"])
+        assert "oswec.cli" in modules
+        assert "numpy.ma" not in modules
+        if args[0] != "verify":
+            assert "numpy.random" not in modules

@@ -34,7 +34,7 @@ from oswec.energy import (
     run_wave_case,
     write_power_matrix_csv,
 )
-from oswec.errors import InvalidInputError, NumericalError
+from oswec.errors import InvalidInputError, NumericalError, format_number
 from oswec.forcing import Scenario, TorqueScenario, WaveCondition, build_wave_forcing
 from oswec.hydro import HydroCoefficients
 
@@ -171,6 +171,25 @@ class TestLoadJPD:
         path = tmp_path / "jpd.csv"
         path.write_text("hs_m\\te_s,8.5\n1.75,0.7\n3.25,0.4\n")
         with pytest.raises(InvalidInputError, match="sum"):
+            load_jpd(path)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("hs_m\\te_s,8.5,9.5\n1.75,0.1,0.1\n1.75,0.2,0.2\n", "duplicate Hs rows"),
+            # 0 and -0.0 are one value
+            ("hs_m\\te_s,0,-0.0\n1.75,0.1,0.1\n", "duplicate Te columns"),
+            # so are all NaNs: a duplicate, not a non-finite bin center
+            ("hs_m\\te_s,8.5,9.5\nnan,0.1,0.1\nnan,0.2,0.2\n", "duplicate Hs rows"),
+            # the Hs rows are checked first
+            ("hs_m\\te_s,9.5,9.5\n1.75,0.1,0.1\n1.75,0.2,0.2\n", "duplicate Hs rows"),
+        ],
+        ids=["repeated-hs", "signed-zero-te", "two-nan-hs", "hs-before-te"],
+    )
+    def test_duplicate_bins(self, tmp_path, text, message):
+        path = tmp_path / "jpd.csv"
+        path.write_text(text)
+        with pytest.raises(InvalidInputError, match=rf"jpd\.csv: {message}$"):
             load_jpd(path)
 
     def test_shipped_sample(self, data_dir):
@@ -332,6 +351,37 @@ class TestPowerMatrix:
         assert not csv_path.exists()
         with pytest.raises(InvalidInputError, match="bin axes do not match"):
             power_matrix_payload(pm, jpd)
+
+    def test_writers_match_cell_by_cell_reference(self, tmp_path):
+        # the CSV rows as numpy scalars, cell by cell, give the same bytes
+        rng = np.random.default_rng(7)
+        per_flap = rng.uniform(0.0, 3.0e5, (2, 3, 2)) / 3.0
+        per_flap[1, 2] = 0.0
+        steady = np.array([[True, False, True], [True, True, False]])
+        computed = np.array([[True, True, True], [True, True, False]])
+        pm = PowerMatrix(
+            np.array([1.25, 1.75]), np.array([8.5, 9.5, 10.5]), per_flap,
+            per_flap.sum(axis=2), steady, computed, (), {},
+        )
+        jpd = JPD(pm.hs_bins, pm.te_bins, rng.uniform(0.0, 0.15, (2, 3)))
+        csv_path = tmp_path / "pm.csv"
+        write_power_matrix_csv(pm, jpd, csv_path)
+
+        energy = pm.power_total * jpd.occurrence * energy_mod.HOURS_PER_YEAR
+        lines = ["hs_m,te_s,power_front_W,power_back_W,power_total_W,"
+                 "occurrence_fraction,energy_Wh,steady,computed"]
+        for i, j in np.ndindex(energy.shape):
+            numbers = (pm.hs_bins[i], pm.te_bins[j], *pm.power_per_flap[i, j],
+                       pm.power_total[i, j], jpd.occurrence[i, j], energy[i, j])
+            lines.append(",".join([*map(format_number, numbers),
+                                   str(int(steady[i, j])), str(int(computed[i, j]))]))
+        total = annual_energy(pm, jpd)
+        footer = f"# total_annual_energy_GWh={format_number(total)}\n"
+        expected = "".join(f"{line}\r\n" for line in lines) + footer
+        assert csv_path.read_bytes() == expected.encode()
+        payload = power_matrix_payload(pm, jpd)
+        assert payload["energy_Wh"] == energy.tolist()
+        assert payload["total_annual_energy_GWh"] == total
 
     def test_wave_case_against_oracle(self, fast_reference):
         # one dual run cross-checked against the frequency-domain power
