@@ -33,15 +33,10 @@ from .errors import InvalidInputError, NumericalError
 from .hydro import FlapProperties, HydroCoefficients
 
 
-_MODES = np.array([[1.0, 1.0], [1.0, -1.0]])
-
-
-def _mode_sums(x: np.ndarray) -> np.ndarray:
-    """x @ [[1, 1], [1, -1]] on the last axis, one flap being its own mode:
-    the flaps from the in-phase and out-of-phase modes, or the modal values
-    (I + I_lr, I - I_lr) of a row of a mirror-symmetric matrix."""
-    n = x.shape[-1]
-    return (x.reshape(-1, n) @ _MODES[:n, :n]).reshape(x.shape)
+def _modal(row: list) -> list:
+    """The in-phase and out-of-phase modal values (sum and difference) of a
+    row of a mirror-symmetric pair; a lone flap's row is its own mode."""
+    return [row[0] + row[1], row[0] - row[1]] if len(row) == 2 else row
 
 
 @dataclass(frozen=True)
@@ -69,8 +64,7 @@ class SystemMatrices:
             flat = a.ravel().tolist()
             if not all(x == y == z for x, y, z in zip(flat, a.T.ravel().tolist(), flat[::-1])):
                 raise InvalidInputError(f"{name} must be mirror-symmetric, got {a.tolist()}")
-        row = m[0].tolist()
-        modal = [row[0] + row[1], row[0] - row[1]] if n == 2 else row
+        modal = _modal(m[0].tolist())
         if not all(x > 0.0 for x in modal):
             raise InvalidInputError(
                 f"inertia must be positive-definite, got modal inertias {modal}"
@@ -96,11 +90,14 @@ def assemble_system(
     """
     if dof not in (1, 2):
         raise InvalidInputError(f"dof must be 1 or 2, got {dof}")
-    eye = np.eye(dof, dtype=bool)
+    inertia = props.inertia_dry + coeffs.added_inertia
+    if dof == 1:
+        return SystemMatrices([[inertia]], [[coeffs.damping]], [props.stiffness])
+    ci, cd = coeffs.coupling_inertia, coeffs.coupling_damping
     return SystemMatrices(
-        inertia=np.where(eye, props.inertia_dry + coeffs.added_inertia, coeffs.coupling_inertia),
-        damping=np.where(eye, coeffs.damping, coeffs.coupling_damping),
-        stiffness=np.full(dof, props.stiffness),
+        [[inertia, ci], [ci, inertia]],
+        [[coeffs.damping, cd], [cd, coeffs.damping]],
+        [props.stiffness, props.stiffness],
     )
 
 
@@ -232,6 +229,27 @@ def _free_model(system: SystemMatrices, forcing: ForcingSpec) -> tuple:
     return free, system.inertia[block], system.damping[block], system.stiffness[free], phasor[free]
 
 
+def _rk4_mode(h: float, a: float, b: float, g: complex, z: complex) -> tuple:
+    """One classical RK4 step of size h of the mode x'' + b x' + a x =
+    Im(g exp(i w t)), z = exp(i w h / 2): the rows of its step matrix, RK4's
+    stability polynomial I + hA(I + hA/2(I + hA/3(I + hA/4))) with
+    A = [[0, 1], [-a, -b]], and the forcing part q of its stages as
+    (rotation, velocity), so the step from t is y <- step @ y + Im(q exp(i w t))."""
+    e, f = -h * a, -h * b  # hA = [[0, h], [e, f]]
+    p00, p01, p10, p11 = 1.0, 0.0, 0.0, 1.0
+    for s in (4.0, 3.0, 2.0, 1.0):  # P <- I + (hA / s) @ P
+        hs, es, fs = h / s, e / s, f / s
+        p00, p01, p10, p11 = (
+            1.0 + hs * p10, hs * p11, es * p00 + fs * p10, 1.0 + es * p01 + fs * p11
+        )
+    # the stages (x, v) of y' = A y + (0, g exp(i w t)) at 0, h/2, h/2 and h
+    x2, v2 = 0.5 * h * g, 0.5 * h * (-b * g) + g * z
+    x3, v3 = 0.5 * h * v2, 0.5 * h * (-a * x2 - b * v2) + g * z
+    x4, v4 = h * v3, h * (-a * x3 - b * v3) + g * (z * z)
+    q = (h / 6.0) * (2.0 * x2 + 2.0 * x3 + x4), (h / 6.0) * (g + 2.0 * v2 + 2.0 * v3 + v4)
+    return ((p00, p01), (p10, p11)), q
+
+
 def integrate(
     system: SystemMatrices, forcing: ForcingSpec, cfg: IntegrationConfig = IntegrationConfig()
 ) -> ResponseRecord:
@@ -280,43 +298,33 @@ def integrate(
         window = slice(steps + 1 - span, steps + 1)
         return ResponseRecord(time, zeros, zeros.copy(), omega, True, 1, window)
 
+    # The state is y = (rotations, velocities) of the modes, mode i in rows
+    # i and nf + i. The forcing phase rides in it too: with x = (y, cos w t,
+    # sin w t) a step is the real linear map phi = [[step, b], [0, rot]], with
+    # b = [Im q, Re q] and rot the rotation by w dt, built mode by mode into
+    # phi's rows. The forcing repeats every `steps` steps, so the samples of
+    # any cycle starting from y at phase 0 are powers @ y + zero_state, where
+    # [powers[j] | zero_state[j]] is the top of phi^(j+1): step^(j+1) and the
+    # cycle that starts from rest. The powers of phi double per pass, in
+    # place, one real product each.
     nf = len(free)
-    minv = 1.0 / _mode_sums(m[0])
-    # modal first-order form y' = a_mat @ y + Im(g exp(i w t)), forcing (T_l +- T_r)/2
-    a_mat = np.zeros((2 * nf, 2 * nf))
-    a_mat[:nf, nf:] = np.eye(nf)
-    a_mat[nf:, :nf] = np.diag(-minv * k)
-    a_mat[nf:, nf:] = np.diag(-minv * _mode_sums(c[0]))
-    g = np.zeros(2 * nf, dtype=complex)
-    g[nf:] = minv * _mode_sums(phasor) / nf
-
-    # one RK4 step from t is y <- step @ y + Im(q exp(i w t)): step is RK4's
-    # stability polynomial in dt*a_mat and q the forcing part of its stages
-    eye = np.eye(2 * nf)
-    h_a = dt * a_mat
-    step = eye + h_a @ (eye + (h_a / 2) @ (eye + (h_a / 3) @ (eye + h_a / 4)))
-    z = np.exp(0.5j * omega * dt)
-    k1 = g
-    k2 = (0.5 * dt) * (a_mat @ k1) + g * z
-    k3 = (0.5 * dt) * (a_mat @ k2) + g * z
-    k4 = dt * (a_mat @ k3) + g * (z * z)
-    q = (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-    # The forcing phase rides in the state: with x = (y, cos w t, sin w t) a
-    # step is the real linear map phi = [[step, b], [0, rot]], b = [Im q, Re q]
-    # and rot the rotation by w dt. The forcing repeats every `steps` steps,
-    # so the samples of any cycle starting from y at phase 0 are
-    # powers @ y + zero_state, where [powers[j] | zero_state[j]] is the top
-    # of phi^(j+1): step^(j+1) and the cycle that starts from rest. The
-    # powers of phi double per pass, in place, one real product each.
     d = 2 * nf
+    phi = [[0.0] * (d + 2) for _ in range(d + 2)]
+    cos_h, sin_h = math.cos(omega * dt), math.sin(omega * dt)
+    phi[d][d:], phi[d + 1][d:] = [cos_h, -sin_h], [sin_h, cos_h]
+    # each mode's inertia, damping and forcing; the modal forcing is (T_l +- T_r)/2
+    modal = [_modal(r.tolist()) for r in (m[0], c[0], phasor)]
+    z = complex(math.cos(0.5 * omega * dt), math.sin(0.5 * omega * dt))
+    for i, (inertia, damping, force, stiffness) in enumerate(zip(*modal, k.tolist())):
+        x, v = i, nf + i
+        (px, pv), (qx, qv) = _rk4_mode(
+            dt, stiffness / inertia, damping / inertia, force / inertia / nf, z
+        )
+        phi[x][x], phi[x][v], phi[x][d], phi[x][d + 1] = *px, qx.imag, qx.real
+        phi[v][x], phi[v][v], phi[v][d], phi[v][d + 1] = *pv, qv.imag, qv.real
     with np.errstate(over="ignore", invalid="ignore"):
         stack = np.empty((steps, d + 2, d + 2))
-        stack[0] = 0.0
-        stack[0, :d, :d] = step
-        stack[0, :d, d], stack[0, :d, d + 1] = q.imag, q.real
-        cos_h, sin_h = math.cos(omega * dt), math.sin(omega * dt)
-        stack[0, d:, d:] = [[cos_h, -sin_h], [sin_h, cos_h]]
+        stack[0] = phi
         done = 1
         while done < steps:
             new = slice(done, min(2 * done, steps))
@@ -438,27 +446,25 @@ def freq_domain_solve(system: SystemMatrices, forcing: ForcingSpec) -> np.ndarra
     return theta
 
 
-def harmonic_fit(
-    time: np.ndarray, series: np.ndarray, omega: float
-) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
-    """Least-squares amplitude and phase of a harmonic at frequency omega.
+def _window_sums(time: np.ndarray, series: np.ndarray, omega: float) -> tuple:
+    """Sums of series * sin(w t) and series * cos(w t) over a window of whole
+    periods, column by column, as two (n,) arrays, with the window's length.
 
-    Fits A*sin(w t) + B*cos(w t) over the whole series and returns
-    (sqrt(A^2+B^2), atan2(B, A)); the fitted signal is
-    amplitude*sin(w t + phase) with phase in (-pi, pi]. The series must
-    span at least three full periods, sampled at least three times per
-    period, or InvalidInputError is raised. A 1-D series gives two floats; an
-    (S, n) series is fitted column by column in one solve and gives two
-    (n,) arrays.
+    The window is folded into one period (its samples summed over the
+    periods) and projected on one period's sin/cos table. It must span at
+    least three periods of at least three samples, on a grid with a whole
+    number of samples per period and a whole number of periods, or
+    InvalidInputError is raised.
     """
     t = np.asarray(time, dtype=float)
     y = np.asarray(series, dtype=float)
-    if t.size != y.shape[0]:
+    size = t.size
+    if size != y.shape[0]:
         raise InvalidInputError("time and series differ in length")
-    if t.size < 4:
-        raise InvalidInputError(f"window of {t.size} samples is too short to fit")
-    dt = t[1] - t[0]
-    span = t[-1] - t[0] + dt
+    if size < 4:
+        raise InvalidInputError(f"window of {size} samples is too short to fit")
+    dt = (t[-1] - t[0]) / (size - 1)
+    span = size * dt
     min_span = 3.0 * (2.0 * math.pi / omega)
     if span < min_span * (1.0 - 1e-9):
         raise InvalidInputError(
@@ -469,17 +475,40 @@ def harmonic_fit(
         raise InvalidInputError(
             f"fit window holds {per_period:.4g} samples per period but at least 3 are required"
         )
-    # at 3 or more samples per period the design has full rank: solve its
-    # normal equations, projecting column by column as a 1-D series would be
-    design = np.array([np.sin(omega * t), np.cos(omega * t)])
-    (ss, sc), (_, cc) = (design @ design.T).tolist()
-    sy, cy = np.array([design @ column for column in y.reshape(t.size, -1).T]).T
-    det = ss * cc - sc * sc
-    a, b = (cc * sy - sc * cy) / det, (ss * cy - sc * sy) / det
+    n = round(per_period)
+    if abs(per_period - n) > 1e-9 * n or size % n:
+        raise InvalidInputError(
+            f"fit window of {size} samples at {per_period:.6g} samples per period is "
+            "not a whole number of periods of a whole number of samples"
+        )
+    # column by column, so that a column sums as the same 1-D series would
+    folded = y.reshape(size // n, n, -1).sum(axis=0)
+    table = np.array([np.sin(omega * t[:n]), np.cos(omega * t[:n])])
+    sums = np.array([table @ column for column in np.ascontiguousarray(folded.T)])
+    return size, sums[:, 0], sums[:, 1]
+
+
+def harmonic_fit(
+    time: np.ndarray, series: np.ndarray, omega: float
+) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
+    """Least-squares amplitude and phase of a harmonic at frequency omega.
+
+    Fits A*sin(w t) + B*cos(w t) over the whole series and returns
+    (sqrt(A^2+B^2), atan2(B, A)); the fitted signal is
+    amplitude*sin(w t + phase) with phase in (-pi, pi]. The series must
+    hold whole periods, at least three, sampled a whole number of times per
+    period, at least three, or InvalidInputError is raised. On such a window
+    sin and cos are orthogonal, each with squared norm half the sample
+    count, so A and B are the window's sin and cos sums scaled by 2/S. A
+    1-D series gives two floats; an (S, n) series is fitted column by
+    column and gives two (n,) arrays.
+    """
+    size, sy, cy = _window_sums(time, series, omega)
+    a, b = sy * (2.0 / size), cy * (2.0 / size)
     amplitude = np.hypot(a, b)
     phase = np.arctan2(b, a)
     phase = np.where(phase <= -math.pi, phase + 2.0 * math.pi, phase)
-    if y.ndim == 1:
+    if np.ndim(series) == 1:
         return float(amplitude[0]), float(phase[0])
     return amplitude, phase
 
@@ -522,12 +551,14 @@ def phase_distance(a: float, b: float) -> float:
 
 
 def input_power(record: ResponseRecord, forcing: ForcingSpec) -> float:
-    """Mean power fed in by the forcing over the record's measure window [W]."""
-    t = record.measured(record.time)
-    tau = forcing.amplitudes()[np.newaxis, :] * np.sin(
-        forcing.omega * t[:, np.newaxis] + forcing.phases()[np.newaxis, :]
+    """Mean power fed in by the forcing over the record's measure window [W]:
+    the mean of T0 sin(w t + phi) v per flap, from the window's sin and cos
+    sums of the velocity."""
+    size, sv, cv = _window_sums(
+        record.measured(record.time), record.measured(record.velocity), forcing.omega
     )
-    return float(np.mean(np.sum(tau * record.measured(record.velocity), axis=1)))
+    phases = forcing.phases()
+    return float(forcing.amplitudes() @ (np.cos(phases) * sv + np.sin(phases) * cv) / size)
 
 
 def dissipated_power(record: ResponseRecord, system: SystemMatrices) -> float:

@@ -65,7 +65,8 @@ def format_number(x) -> str:
 
 
 def write_json(path, payload) -> None:
-    """Write a JSON report: two-space indent and a final newline."""
+    """Write a JSON report: two-space indent and a final newline, encoded
+    whole and written in one call."""
+    text = json.dumps(payload, indent=2) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+        fh.write(text)

@@ -117,6 +117,7 @@ def run_verification(
 
         p_in = input_power(record, forcing)
         p_out = dissipated_power(record, system)
+        del record  # its metrics and powers are taken: free it before the next integrate
         denom = max(abs(p_in), abs(p_out), 1e-12)
         if abs(p_in - p_out) / denom > ENERGY_TOL:
             failures.append(

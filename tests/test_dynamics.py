@@ -14,6 +14,7 @@ from oswec.dynamics import (
     IntegrationConfig,
     ResponseRecord,
     SystemMatrices,
+    _rk4_mode,
     assemble_system,
     dissipated_power,
     freq_domain_solve,
@@ -994,3 +995,117 @@ class TestValidation:
             SystemMatrices(np.array([[1.0, 0.5], [0.4, 1.0]]), np.eye(2), np.array([1.0, 1.0]))
         with pytest.raises(InvalidInputError):
             SystemMatrices(np.eye(2), -np.eye(2), np.array([1.0, 1.0]))
+
+
+def matrix_rk4_step(m_row, c_row, stiffness, phasor, omega, h):
+    """Reference: one RK4 step of the modal first-order system as 2nf x 2nf
+    matrices, y <- step @ y + Im(q exp(i w t)): the Horner product of the
+    full matrix and the complex stage vectors, mode i in rows i and nf + i."""
+    nf = len(m_row)
+    modes = np.array([[1.0, 1.0], [1.0, -1.0]])[:nf, :nf]
+    minv = 1.0 / (np.asarray(m_row) @ modes)
+    a_mat = np.zeros((2 * nf, 2 * nf))
+    a_mat[:nf, nf:] = np.eye(nf)
+    a_mat[nf:, :nf] = np.diag(-minv * stiffness)
+    a_mat[nf:, nf:] = np.diag(-minv * (np.asarray(c_row) @ modes))
+    g = np.zeros(2 * nf, dtype=complex)
+    g[nf:] = minv * (np.asarray(phasor) @ modes) / nf
+    eye = np.eye(2 * nf)
+    h_a = h * a_mat
+    step = eye + h_a @ (eye + (h_a / 2) @ (eye + (h_a / 3) @ (eye + h_a / 4)))
+    z = np.exp(0.5j * omega * h)
+    k1 = g
+    k2 = (0.5 * h) * (a_mat @ k1) + g * z
+    k3 = (0.5 * h) * (a_mat @ k2) + g * z
+    k4 = h * (a_mat @ k3) + g * (z * z)
+    return step, (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+class TestModalStepMap:
+    """Each mode's step map and forcing stage, built in closed form, against
+    the full-matrix Horner product and complex stage vectors."""
+
+    @pytest.mark.parametrize("nf", [1, 2])
+    # h * omega_n from fine steps to beyond RK4's stability limit (about 2.8)
+    @pytest.mark.parametrize("h_omega_n", [1e-3, 0.03, 0.5, 2.0, 2.9, 5.0, 40.0])
+    @pytest.mark.parametrize("zeta", [0.02, 0.3, 3.0])
+    def test_matches_the_matrix_step(self, nf, h_omega_n, zeta):
+        rng = np.random.default_rng([nf, int(h_omega_n * 1000), int(zeta * 100)])
+        inertia = 10.0 ** rng.uniform(6.0, 7.3)
+        omega_n = rng.uniform(0.4, 1.2)
+        stiffness = inertia * omega_n**2
+        damping = 2.0 * zeta * inertia * omega_n
+        m_row, c_row = [inertia], [damping]
+        if nf == 2:
+            m_row.append(rng.uniform(-0.4, 0.4) * inertia)
+            c_row.append(rng.uniform(-0.7, 0.7) * damping)
+        phasor = rng.uniform(1e5, 2e6, nf) * np.exp(1j * rng.uniform(-math.pi, math.pi, nf))
+        h = h_omega_n / omega_n
+        omega = rng.uniform(0.5, 2.0) * omega_n
+        step, q = matrix_rk4_step(m_row, c_row, np.full(nf, stiffness), phasor, omega, h)
+
+        modes = np.array([[1.0, 1.0], [1.0, -1.0]])[:nf, :nf]
+        z = np.exp(0.5j * omega * h)
+        for i, (m_i, c_i, f_i) in enumerate(
+            zip(np.asarray(m_row) @ modes, np.asarray(c_row) @ modes, phasor @ modes)
+        ):
+            rows = [i, nf + i]
+            rows_got, q_got = _rk4_mode(h, stiffness / m_i, c_i / m_i, f_i / m_i / nf, z)
+            want = step[np.ix_(rows, rows)]
+            assert np.abs(np.array(rows_got) - want).max() <= 1e-14 * np.abs(want).max()
+            assert np.abs(np.array(q_got) - q[rows]).max() <= 1e-14 * np.abs(q[rows]).max()
+        # the modes are independent: nothing couples one to the other
+        if nf == 2:
+            assert not step[np.ix_([0, 2], [1, 3])].any() and not step[np.ix_([1, 3], [0, 2])].any()
+
+
+class TestWholePeriodFit:
+    """The fit and the input power fold a window of whole periods into one."""
+
+    def test_matches_least_squares_on_random_windows(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(150):
+            periods = int(rng.integers(3, 41))
+            per_period = int(rng.integers(3, 401))
+            omega = rng.uniform(0.2, 3.0)
+            t = rng.uniform(0.0, 500.0) + np.arange(periods * per_period) * (
+                2.0 * math.pi / omega / per_period
+            )
+            amps = 10.0 ** rng.uniform(-4.0, 1.0, 3)
+            phases = rng.uniform(-math.pi, math.pi, 3)
+            series = amps * np.sin(omega * t[:, None] + phases)
+            series += 1e-3 * amps * rng.standard_normal(series.shape)
+            design = np.column_stack([np.sin(omega * t), np.cos(omega * t)])
+            (a, b), *_ = np.linalg.lstsq(design, series, rcond=None)
+            amplitude, phase = harmonic_fit(t, series, omega)
+            want_amp = np.hypot(a, b)
+            np.testing.assert_allclose(amplitude, want_amp, rtol=1e-12, atol=0.0)
+            for got, want in zip(phase, np.arctan2(b, a)):
+                assert phase_distance(got, want) < 1e-12
+
+    @pytest.mark.parametrize(
+        "periods, per_period", [(3.5, 200), (10, 200.5)], ids=["3.5-periods", "200.5-per-period"]
+    )
+    def test_window_of_partial_periods_is_rejected(self, periods, per_period):
+        omega = 0.8
+        t = np.arange(round(periods * per_period)) * (2.0 * math.pi / omega / per_period)
+        with pytest.raises(InvalidInputError, match="not a whole number of periods"):
+            harmonic_fit(t, np.sin(omega * t), omega)
+
+    def test_input_power_is_the_window_mean_of_torque_times_velocity(self):
+        omega, steps = 0.7, 50
+        rng = np.random.default_rng(11)
+        t = 4.0 + np.arange(12 * steps + 1) * (2.0 * math.pi / omega / steps)
+        velocity = np.column_stack([
+            0.3 * np.sin(omega * t + 0.4), 0.1 * np.cos(omega * t - 1.0)
+        ]) + 1e-3 * rng.standard_normal((t.size, 2))
+        record = ResponseRecord(
+            t, np.zeros_like(velocity), velocity, omega, steady=True, cycles=12,
+            window=slice(t.size - 8 * steps, t.size),
+        )
+        forcing = ForcingSpec(omega, (FlapForcing(1.0e6, 0.2), FlapForcing(0.7e6, -1.1)))
+        tw, vw = t[record.window], velocity[record.window]
+        tau = forcing.amplitudes() * np.sin(omega * tw[:, None] + forcing.phases())
+        assert input_power(record, forcing) == pytest.approx(
+            np.mean(np.sum(tau * vw, axis=1)), rel=1e-12
+        )
