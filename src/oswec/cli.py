@@ -19,7 +19,6 @@ import sys
 from .config import RunConfig, load_run_config
 from .energy import (
     Design,
-    annual_energy,
     compute_power_matrix,
     load_jpd,
     power_matrix_payload,
@@ -281,8 +280,9 @@ def _cmd_aep(args, run_config: RunConfig, out_dir: str) -> int:
         _note_unsettled(label, not_steady, computed + len(pm.errors), "cells", len(pm.errors))
         os.makedirs(out_dir, exist_ok=True)
         write_power_matrix_csv(pm, jpd, os.path.join(out_dir, f"power_matrix_{tag}.csv"))
-        write_json(os.path.join(out_dir, f"power_matrix_{tag}.json"), power_matrix_payload(pm, jpd))
-        energy = annual_energy(pm, jpd)
+        payload = power_matrix_payload(pm, jpd)
+        write_json(os.path.join(out_dir, f"power_matrix_{tag}.json"), payload)
+        energy = payload["total_annual_energy_GWh"]
         rows.append(
             {
                 "label": label,

@@ -128,19 +128,14 @@ class CaseResult:
     def total_power(self) -> float:
         return float(np.sum(self.power))
 
-    def scaled(self, factor: float) -> "CaseResult | None":
+    def scaled(self, factor: float) -> "CaseResult":
         """This case, without its record, with its forcing amplitude times
         ``factor``: RMS and amplitude scale by it and power by its square,
-        while phase, ``steady`` and ``cycles_used`` stay. None when a value
-        overflows."""
+        while phase, ``steady`` and ``cycles_used`` stay. Grids only scale
+        down (``factor`` <= 1), so no value overflows."""
         m = self.metrics
-        with np.errstate(over="ignore"):
-            rms = m.rms_rotation * factor
-            amplitude = m.amplitude * factor
-            power = self.power * (factor * factor)
-        if not all(np.isfinite(v).all() for v in (rms, amplitude, power)):
-            return None
-        return CaseResult(None, replace(m, rms_rotation=rms, amplitude=amplitude), power)
+        metrics = replace(m, rms_rotation=m.rms_rotation * factor, amplitude=m.amplitude * factor)
+        return CaseResult(None, metrics, self.power * (factor * factor))
 
 
 def mean_power(record: ResponseRecord, pto: PTOModel) -> np.ndarray:
@@ -327,10 +322,11 @@ def failure_text(exc: Exception) -> str:
 
 
 def _attempt(fn, *args):
-    """``fn(*args)``, or the exception it raised, stripped of its traceback
-    so that a kept failure holds no frame of the run."""
+    """The CaseResult ``fn(*args)`` without its record, or the exception it
+    raised, stripped of its traceback so that a kept failure holds no frame
+    of the run."""
     try:
-        return fn(*args)
+        return replace(fn(*args), record=None)
     except Exception as exc:  # noqa: BLE001 - one failed case must not kill the grid
         return exc.with_traceback(None)
 
@@ -340,16 +336,18 @@ def evaluate_linear(fn, model: Model, cases) -> list:
     without a record, or the exception the case raised.
 
     A case's first item is a WaveCondition or a TorqueScenario. The model is
-    linear in the forcing, so ``fn`` first runs once per distinct case at
-    unit amplitude (1 m wave height or 1 N m torque). Each unit record is
-    dropped once it has given its headroom: the largest factor that keeps
-    every squared state, and any sum of those squares over the record, well
-    inside the float range. Each case then scales its unit result by its
-    wave height or torque amplitude (``CaseResult.scaled``). A case runs on
-    its own instead, after all unit runs, when its unit run failed or is not
-    steady, its factor exceeds the headroom, or a scaled value is not
-    finite: an unstable system overflows at a step that depends on the
-    amplitude, so only the case's own run gives its error and flags.
+    linear in the forcing, so cases that differ only in wave height or
+    torque amplitude share a key, and ``fn`` runs once per key, at the
+    key's largest height or torque (its first case with that factor, the
+    key's reference). Each run's record is dropped before the next key
+    runs. Every case of a steady key scales the reference result down by
+    its factor over the largest (``CaseResult.scaled``), so the reference
+    case itself is its own run bit for bit. When a key's run failed or is
+    not steady, its reference case, and any case with the same factor,
+    keeps that outcome; every other case of the key runs on its own, after
+    all key runs: an unstable system overflows at a step that depends on
+    the amplitude, so only the case's own run gives its error and flags.
+    No case runs twice.
     """
     keys, factors = [], []
     for condition, *rest in cases:
@@ -360,29 +358,23 @@ def evaluate_linear(fn, model: Model, cases) -> list:
             keys.append((replace(condition, amplitude=1.0), *rest))
             factors.append(condition.amplitude)
 
-    units = {}
-    for key in dict.fromkeys(keys):
-        unit = _attempt(fn, model, *key)
-        if isinstance(unit, CaseResult) and unit.metrics.steady:
-            record = unit.record
-            rot, vel = record.rotation, record.velocity
-            # the largest magnitude, without a record-sized np.abs array
-            peak = float(max(-rot.min(), rot.max(), -vel.min(), vel.max()))
-            room = math.sqrt(np.finfo(float).max / (4.0 * record.time.size))
-            units[key] = (replace(unit, record=None), room / peak if peak > 0.0 else math.inf)
-            del record, rot, vel
-        del unit  # the record goes before the next key runs
+    reference = {}
+    for index, (key, factor) in enumerate(zip(keys, factors)):
+        if key not in reference or factor > factors[reference[key]]:
+            reference[key] = index
+    runs = {key: _attempt(fn, model, *cases[index]) for key, index in reference.items()}
 
     results = []
     for key, factor in zip(keys, factors):
-        unit, limit = units.get(key, (None, 0.0))
-        results.append(unit.scaled(factor) if unit is not None and factor <= limit else None)
+        run, largest = runs[key], factors[reference[key]]
+        if isinstance(run, CaseResult) and run.metrics.steady:
+            run = run.scaled(factor / largest)
+        elif factor != largest:
+            run = None
+        results.append(run)
     for index, result in enumerate(results):
         if result is None:
-            result = _attempt(fn, model, *cases[index])
-            if isinstance(result, CaseResult):
-                result = replace(result, record=None)
-            results[index] = result
+            results[index] = _attempt(fn, model, *cases[index])
     return results
 
 
@@ -393,7 +385,8 @@ def compute_power_matrix(
     occurrence: np.ndarray | None = None,
 ) -> PowerMatrix:
     """Evaluate the mean-power matrix: each period is integrated once, at
-    unit wave height, and every Hs row scales it (``evaluate_linear``).
+    its largest occupied wave height, and every other Hs row of that period
+    scales it down (``evaluate_linear``).
 
     When ``occurrence`` is given, cells with zero occurrence are skipped
     (partial power matrix); their power stays 0 and ``computed`` is False.

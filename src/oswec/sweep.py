@@ -57,8 +57,10 @@ class SweepPlan:
                     raise InvalidInputError("headings must lie in [0, 90) degrees")
             elif name != "scenarios" and not all(math.isfinite(v) and v > 0.0 for v in values):
                 raise InvalidInputError(f"sweep plan axis {name} must be positive and finite")
+        # equal values (headings 0, -0) repeat, and so do values that print alike
         for name, values in vars(self).items():
-            repeats = [v for i, v in enumerate(values) if v in values[:i]]
+            keys = [_axis_key(v) for v in values]
+            repeats = [v for i, v in enumerate(values) if v in values[:i] or keys[i] in keys[:i]]
             if repeats:
                 raise InvalidInputError(
                     f"sweep plan axis {name} repeats {_axis_key(repeats[0])}"
@@ -157,9 +159,10 @@ def _run_against(fn, model: Model, grid: list, baseline_of) -> list:
     """``(case, outcome, baseline outcome)`` for each grid case, in grid
     order; the baseline of a case is the case ``baseline_of(case)``.
 
-    Every distinct case runs once, baselines first, in one
-    ``evaluate_linear`` batch. A failed baseline fails the whole study with
-    its own exception (a NumericalError exits 2).
+    Every distinct case is evaluated once, baselines first, in one
+    ``evaluate_linear`` batch, which runs each key at its largest amplitude
+    and scales the others down. A failed baseline fails the whole study
+    with its own exception (a NumericalError exits 2).
     """
     baselines = [baseline_of(case) for case in grid]
     cases = list(dict.fromkeys(baselines + grid))
@@ -199,9 +202,9 @@ def run_torque_study(plan: SweepPlan, model: Model) -> SweepReport:
     """Grid of torque scenarios compared against the single-flap baseline.
 
     Each scenario, distance and period, and the single flap at each period,
-    is integrated once at unit torque and scaled to every amplitude
-    (``evaluate_linear``). The single baseline is shared across scenarios
-    and distances.
+    is integrated once at its largest torque and scaled down to every other
+    amplitude (``evaluate_linear``). The single baseline is shared across
+    scenarios and distances.
     """
     grid = [
         (TorqueScenario(variant, amplitude, period, d),)
@@ -246,8 +249,8 @@ def run_wave_study(plan: SweepPlan, model: Model) -> SweepReport:
     """Wave-forced dual runs over (distance, period, height) with baselines.
 
     Each distance and period, and the single flap at each period, is
-    integrated once at unit wave height and scaled to every height
-    (``evaluate_linear``).
+    integrated once at its largest wave height and scaled down to every
+    other height (``evaluate_linear``).
     """
     grid = [
         (WaveCondition(height, period), d, True)

@@ -451,13 +451,21 @@ class TestUsageErrors:
              ("torque amplitude", "inf")),
             (["sweep", "--study", "wave", "--periods", "8.5,8.5"], ("wave_periods", "8.5")),
             (["sweep", "--study", "wave", "--periods", "0"], ("wave_periods", "finite")),
+            # distinct values that print alike would share one report key
+            (["sweep", "--study", "wave", "--distances", "10.0000001,10.0000002"],
+             ("distances", "repeats 10")),
+            (["aep", "--jpd", "JPD", "--distances", "10.0000001,10.0000002"],
+             ("distances", "repeats 10")),
+            (["sweep", "--study", "torque", "--amplitudes", "1e6,1000000.0000001"],
+             ("torque_amplitudes", "repeats 1e+06")),
         ],
         ids=["workers-0", "workers-negative", "sweep-distances", "sweep-periods",
              "sweep-amplitudes", "sweep-heights", "sweep-headings", "aep-distances",
              "aep-distances-inf", "sweep-distances-inf", "sweep-heights-inf",
              "sweep-amplitudes-inf", "simulate-d-inf", "simulate-wave-d-inf",
              "simulate-H-inf", "simulate-T0-inf", "sweep-wave-periods",
-             "sweep-wave-periods-zero"],
+             "sweep-wave-periods-zero", "sweep-distances-alike", "aep-distances-alike",
+             "sweep-amplitudes-alike"],
     )
     def test_bad_input_exits_1_before_any_case(
         self, fast_config, data_dir, monkeypatch, capsys, args, named

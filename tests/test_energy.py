@@ -396,7 +396,7 @@ class TestPowerMatrix:
 
 
 class TestUnitAmplitudeGrid:
-    """A grid integrates each period once at unit height and scales it."""
+    """A grid integrates each period once, at its largest height, and scales it down."""
 
     HS = np.array([1.0, 1.75, 3.25])
     TE = np.array([8.5, 9.5])
@@ -424,6 +424,50 @@ class TestUnitAmplitudeGrid:
         pm = compute_power_matrix(Design(fast_reference, 45.0), self.HS, self.TE, occurrence)
         assert pm.computed.sum() == 4
         assert sorted(calls) == [(8.5, 2), (9.5, 2)]
+
+    # 1.75 m is the largest occupied height at 9.5 s, 3.25 m at 8.5 s
+    PARTIAL = np.array([[0.1, 0.0], [0.2, 0.3], [0.1, 0.0]])
+
+    @pytest.mark.parametrize("distance, dual", [(45.0, True), (0.0, False)])
+    def test_largest_cell_of_each_period_is_its_own_run(self, fast_reference, distance, dual):
+        # each period runs at its largest occupied height, so that cell is
+        # its own run bit for bit, not a scaled copy of another run
+        design = Design(fast_reference, distance, dual=dual)
+        pm = compute_power_matrix(design, self.HS, self.TE, self.PARTIAL)
+        cases = [(WaveCondition(self.HS[i], self.TE[j]), distance, dual)
+                 for i, j in zip(*np.nonzero(self.PARTIAL))]
+        outcomes = energy_mod.evaluate_linear(run_wave_case, fast_reference, cases)
+        for i, j in ((2, 0), (1, 1)):
+            direct = run_wave_case(fast_reference, WaveCondition(self.HS[i], self.TE[j]),
+                                   distance, dual)
+            np.testing.assert_array_equal(pm.power_per_flap[i, j], direct.power)
+            grid = outcomes[cases.index((WaveCondition(self.HS[i], self.TE[j]), distance, dual))]
+            for got, want in (
+                (grid.power, direct.power),
+                (grid.metrics.rms_rotation, direct.metrics.rms_rotation),
+                (grid.metrics.amplitude, direct.metrics.amplitude),
+                (grid.metrics.phase, direct.metrics.phase),
+            ):
+                np.testing.assert_array_equal(got, want)
+
+    def test_never_steady_grid_runs_each_cell_once(self, reference, monkeypatch):
+        # no key settles under this tolerance: each period's largest cell
+        # keeps its key's run and every other cell runs on its own, once
+        calls = []
+        real = energy_mod.run_wave_case
+
+        def counting(model, wave, distance, dual):
+            calls.append((wave.height, wave.period))
+            return real(model, wave, distance, dual)
+
+        monkeypatch.setattr(energy_mod, "run_wave_case", counting)
+        cfg = IntegrationConfig(steps_per_period=40, ramp_periods=3, measure_periods=3,
+                                max_periods=6, convergence_tol=1e-12)
+        model = replace(reference, integration=cfg)
+        pm = compute_power_matrix(Design(model, 45.0), self.HS, self.TE, self.PARTIAL)
+        assert pm.computed.sum() == 4 and not pm.steady.any()
+        cells = [(float(self.HS[i]), float(self.TE[j])) for i, j in zip(*np.nonzero(self.PARTIAL))]
+        assert sorted(calls) == sorted(cells)
 
     def test_scaled_overflow_runs_on_its_own(self, fast_reference):
         # without PTO damping the power never overflows, so only the record's

@@ -131,7 +131,7 @@ class TestTorqueStudy:
 
 
 class TestUnitAmplitudeCollapse:
-    """Each grid key integrates once at unit amplitude; amplitudes scale it."""
+    """Each grid key integrates once, at its largest amplitude; the others scale it down."""
 
     PLAN = SweepPlan(
         distances=(10.0, 45.0),
@@ -167,6 +167,32 @@ class TestUnitAmplitudeCollapse:
                 single.metrics.rms_rotation[0], rel=1e-12, abs=0.0
             )
             assert row["single_power_W"] == pytest.approx(single.power[0], rel=1e-12, abs=0.0)
+
+    def test_largest_torque_rows_are_their_own_runs(self, fast_reference):
+        # each key runs at its largest torque, so those rows, and their
+        # single-flap baselines, are their own runs bit for bit
+        largest = max(self.PLAN.torque_amplitudes)
+        rows = run_torque_study(self.PLAN, fast_reference).rows
+        rows = [row for row in rows if row["torque_Nm"] == largest]
+        assert len(rows) == 2 * 2 * 2
+        for row in rows:
+            scenario = TorqueScenario(
+                Scenario(row["scenario"]), largest, row["period_s"], row["distance_m"]
+            )
+            direct = run_torque_case(fast_reference, scenario)
+            single = run_torque_case(
+                fast_reference, TorqueScenario(Scenario.SINGLE, largest, row["period_s"])
+            )
+            got = [
+                [row[f"{name}_{key}"] for name in ("left", "right")]
+                for key in ("rms_rad", "amplitude_rad", "phase_rad", "power_W")
+            ]
+            m = direct.metrics
+            np.testing.assert_array_equal(got, [m.rms_rotation, m.amplitude, m.phase, direct.power])
+            np.testing.assert_array_equal(
+                [row["single_rms_rad"], row["single_amplitude_rad"], row["single_power_W"]],
+                [single.metrics.rms_rotation[0], single.metrics.amplitude[0], single.power[0]],
+            )
 
     def test_one_integration_per_key(self, fast_reference, monkeypatch):
         calls = []
@@ -216,7 +242,8 @@ class TestUnitAmplitudeCollapse:
 
     def test_non_steady_key_runs_each_cell(self, reference, monkeypatch):
         # within 40 periods the growing response stays finite but never
-        # steady, so no cell is scaled from the unit run
+        # steady, so no cell is scaled from the key's run: the largest torque
+        # keeps that run, the other torque runs on its own
         calls = []
         real = energy_mod.integrate
 
@@ -227,7 +254,7 @@ class TestUnitAmplitudeCollapse:
 
         monkeypatch.setattr(energy_mod, "integrate", counting)
         rows = run_torque_study(self.UNSTABLE_PLAN, self.unstable_model(reference, 40)).rows
-        assert calls == [(1, True)] + [(2, False)] * 3
+        assert calls == [(1, True)] + [(2, False)] * 2
         assert [(row["error"], row["steady"]) for row in rows] == [("", False)] * 2
 
     def test_failed_baseline_raises(self, fast_reference, monkeypatch):
@@ -243,8 +270,9 @@ class TestUnitAmplitudeCollapse:
             run_torque_study(self.PLAN, fast_reference)
 
     def test_failed_baseline_is_not_run_again(self, fast_reference, monkeypatch):
-        # the 2 unit keys and the 6 single cells run once each (8 runs); the
-        # study raises the error it kept from those runs
+        # each single key runs at its largest torque, then the 4 other single
+        # cells on their own (6 runs); the study raises the error it kept
+        # from those runs
         calls = []
         real = sweep_mod.run_torque_case
 
@@ -257,8 +285,8 @@ class TestUnitAmplitudeCollapse:
         monkeypatch.setattr(sweep_mod, "run_torque_case", failing_single)
         with pytest.raises(NumericalError, match="single flap overflowed"):
             run_torque_study(self.PLAN, fast_reference)
-        cells = [(p, a) for p in self.PLAN.torque_periods for a in self.PLAN.torque_amplitudes]
-        assert calls == [(p, 1.0) for p in self.PLAN.torque_periods] + cells
+        cells = [(p, a) for p in self.PLAN.torque_periods for a in self.PLAN.torque_amplitudes[:-1]]
+        assert calls == [(p, 1.2e6) for p in self.PLAN.torque_periods] + cells
 
 
 class TestWaveStudy:
@@ -386,9 +414,9 @@ class TestHeadingStudy:
         ]
 
     def test_zero_heading_in_the_grid_runs_once(self, reference, monkeypatch):
-        # under this tolerance no key reaches steady state, so each heading
-        # runs at unit height and then on its own: 2 runs per heading, and
-        # the zero heading, which is also the baseline, is not queued twice
+        # under this tolerance no key reaches steady state, and each heading
+        # is its own key with one height: 1 run per heading, and the zero
+        # heading, which is also the baseline, is not queued twice
         calls = []
         real = sweep_mod.run_wave_case
 
@@ -402,7 +430,7 @@ class TestHeadingStudy:
         plan = SweepPlan(headings=(0.0, 10.0, 20.0))
         rows = run_heading_study(plan, replace(reference, integration=cfg)).rows
         assert [row["steady"] for row in rows] == [False] * 3
-        assert sorted(calls) == [0.0, 0.0, 10.0, 10.0, 20.0, 20.0]
+        assert sorted(calls) == [0.0, 10.0, 20.0]
 
     def test_zero_reference_power_gives_null_loss(self, fast_reference, tmp_path):
         # a zero PTO damping takes no power at any heading: the loss against
