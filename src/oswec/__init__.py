@@ -7,7 +7,6 @@ from .config import (
     with_coupling_disabled,
 )
 from .dynamics import (
-    FlapForcing,
     ForcingSpec,
     IntegrationConfig,
     ResponseMetrics,

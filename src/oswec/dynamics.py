@@ -3,9 +3,10 @@
 The dual-flap system is
 
     (diag(I, I) + [[Ia, Ia_lr], [Ia_lr, Ia]]) theta'' +
-    [[C, C_lr], [C_lr, C]] theta' + diag(k, k) theta = T0 sin(w t + phi)
+    [[C, C_lr], [C_lr, C]] theta' + diag(k, k) theta = Im(P exp(i w t))
 
-per flap; the single-flap case is the same with the coupling terms dropped.
+per flap, with P = T0 exp(i phi) its complex torque phasor: the torque is
+T0 sin(w t + phi). The single-flap case drops the coupling terms.
 A pair is mirror-symmetric, so it is two independent oscillators, its
 in-phase and out-of-phase modes. Time integration steps the modes with
 fixed-step classical RK4 run to harmonic steady state.
@@ -24,6 +25,7 @@ serves as an independent oracle for the integrator.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -102,56 +104,40 @@ def assemble_system(
 
 
 @dataclass(frozen=True)
-class FlapForcing:
-    """Harmonic torque on one flap: T0 sin(w t + phi), or a fixed constraint."""
-
-    amplitude: float  # N m
-    phase: float = 0.0  # rad
-    fixed: bool = False
-
-    def __post_init__(self):
-        if self.amplitude < 0.0:
-            raise InvalidInputError(f"torque amplitude must be >= 0, got {self.amplitude}")
-        if self.fixed and self.amplitude != 0.0:
-            raise InvalidInputError("a fixed flap cannot carry forcing")
-
-
-@dataclass(frozen=True)
 class ForcingSpec:
-    """Shared angular frequency plus per-flap amplitude/phase/fixed flags."""
+    """Shared angular frequency plus one complex torque phasor per flap.
+
+    The phasor T0 exp(i phi) drives its flap with Im(T0 exp(i phi) exp(i w t))
+    = T0 sin(w t + phi); ``None`` holds the flap fixed.
+    """
 
     omega: float  # rad/s
-    flaps: tuple[FlapForcing, ...]
+    torques: tuple[complex | None, ...]  # N m
 
     def __post_init__(self):
         if not self.omega > 0.0:
             raise InvalidInputError(f"angular frequency must be positive, got {self.omega}")
-        if len(self.flaps) not in (1, 2):
-            raise InvalidInputError(f"expected 1 or 2 flaps, got {len(self.flaps)}")
-        object.__setattr__(self, "flaps", tuple(self.flaps))
+        if len(self.torques) not in (1, 2):
+            raise InvalidInputError(f"expected 1 or 2 flaps, got {len(self.torques)}")
+        for i, t in enumerate(self.torques):
+            if t is not None and not cmath.isfinite(t):
+                raise InvalidInputError(f"torque phasor of flap {i} is not finite: {t}")
+        torques = tuple(None if t is None else complex(t) for t in self.torques)
+        object.__setattr__(self, "torques", torques)
 
     @property
     def dof(self) -> int:
-        return len(self.flaps)
+        return len(self.torques)
 
     @property
     def period(self) -> float:
         return 2.0 * math.pi / self.omega
 
-    def amplitudes(self) -> np.ndarray:
-        return np.array([f.amplitude for f in self.flaps])
-
-    def phases(self) -> np.ndarray:
-        return np.array([f.phase for f in self.flaps])
-
     def free_indices(self) -> list[int]:
-        return [i for i, f in enumerate(self.flaps) if not f.fixed]
+        return [i for i, t in enumerate(self.torques) if t is not None]
 
     def scaled(self, factor: float) -> "ForcingSpec":
-        flaps = tuple(
-            FlapForcing(f.amplitude * factor, f.phase, f.fixed) for f in self.flaps
-        )
-        return ForcingSpec(self.omega, flaps)
+        return ForcingSpec(self.omega, [None if t is None else t * factor for t in self.torques])
 
 
 @dataclass(frozen=True)
@@ -216,17 +202,17 @@ class ResponseRecord:
 
 def _free_model(system: SystemMatrices, forcing: ForcingSpec) -> tuple:
     """The system with its fixed flaps removed: the free flap indices, their
-    inertia, damping and stiffness, and the forcing phasor T0 exp(i phi)."""
+    inertia, damping and stiffness, and their torque phasors."""
     if forcing.dof != system.dof:
         raise InvalidInputError(
             f"forcing has {forcing.dof} flaps but the system has {system.dof} degrees of freedom"
         )
     free = forcing.free_indices()
-    phasor = forcing.amplitudes() * np.exp(1j * forcing.phases())
+    phasor = [forcing.torques[i] for i in free]
     if len(free) == system.dof:
         return free, system.inertia, system.damping, system.stiffness, phasor
     block = np.ix_(free, free)
-    return free, system.inertia[block], system.damping[block], system.stiffness[free], phasor[free]
+    return free, system.inertia[block], system.damping[block], system.stiffness[free], phasor
 
 
 def _rk4_mode(h: float, a: float, b: float, g: complex, z: complex) -> tuple:
@@ -313,7 +299,7 @@ def integrate(
     cos_h, sin_h = math.cos(omega * dt), math.sin(omega * dt)
     phi[d][d:], phi[d + 1][d:] = [cos_h, -sin_h], [sin_h, cos_h]
     # each mode's inertia, damping and forcing; the modal forcing is (T_l +- T_r)/2
-    modal = [_modal(r.tolist()) for r in (m[0], c[0], phasor)]
+    modal = [_modal(r) for r in (m[0].tolist(), c[0].tolist(), phasor)]
     z = complex(math.cos(0.5 * omega * dt), math.sin(0.5 * omega * dt))
     for i, (inertia, damping, force, stiffness) in enumerate(zip(*modal, k.tolist())):
         x, v = i, nf + i
@@ -420,14 +406,15 @@ def integrate(
 def freq_domain_solve(system: SystemMatrices, forcing: ForcingSpec) -> np.ndarray:
     """Steady-state complex rotation amplitudes from the harmonic ansatz.
 
-    With theta(t) = Im{Theta exp(i w t)} and forcing T0 sin(w t + phi) =
-    Im{T0 exp(i phi) exp(i w t)}, the system reduces to
+    With theta(t) = Im{Theta exp(i w t)} and each flap forced by
+    Im{P exp(i w t)}, P its torque phasor, the system reduces to
 
-        (-w^2 M + i w C + K) Theta = T0 exp(i phi)
+        (-w^2 M + i w C + K) Theta = P
 
-    Fixed flaps are removed by deleting their row and column before the
-    solve; their returned amplitude is 0. The magnitude of each entry is
-    the rotation amplitude and its argument the phase in the same sine
+    solved in the flaps' own coordinates, not the modes ``integrate``
+    steps. Fixed flaps are removed by deleting their row and column before
+    the solve; their returned amplitude is 0. The magnitude of each entry
+    is the rotation amplitude and its argument the phase in the same sine
     convention as the integrator.
     """
     free, m, c, k, f = _free_model(system, forcing)
@@ -552,13 +539,14 @@ def phase_distance(a: float, b: float) -> float:
 
 def input_power(record: ResponseRecord, forcing: ForcingSpec) -> float:
     """Mean power fed in by the forcing over the record's measure window [W]:
-    the mean of T0 sin(w t + phi) v per flap, from the window's sin and cos
-    sums of the velocity."""
+    the mean of Im(P exp(i w t)) v per flap, P its torque phasor, which is
+    (Re P S_v + Im P C_v) / size from the window's sin and cos sums of the
+    velocity. A fixed flap counts as a torque of 0."""
     size, sv, cv = _window_sums(
         record.measured(record.time), record.measured(record.velocity), forcing.omega
     )
-    phases = forcing.phases()
-    return float(forcing.amplitudes() @ (np.cos(phases) * sv + np.sin(phases) * cv) / size)
+    torques = np.array([0.0 if t is None else t for t in forcing.torques])
+    return float((torques.real @ sv + torques.imag @ cv) / size)
 
 
 def dissipated_power(record: ResponseRecord, system: SystemMatrices) -> float:

@@ -1,21 +1,24 @@
 """Builders for torque-scenario and regular-wave forcing.
 
-Torque scenarios drive one or both flaps with prescribed amplitudes and
-phase differences (flaps labeled left = index 0, right = index 1). Wave
-forcing converts a regular wave into per-flap torques through a
-torque-per-wave-amplitude transfer, a back-flap transmission factor, and a
-heading-angle model (front = index 0, back = index 1).
+Each builder returns a ``ForcingSpec``: one complex torque phasor
+T0 exp(i phi) per flap, the torque being T0 sin(w t + phi), or ``None`` for
+a flap held fixed. Torque scenarios drive one or both flaps with prescribed
+amplitudes and phase differences (flaps labeled left = index 0, right =
+index 1). Wave forcing converts a regular wave into per-flap torques
+through a torque-per-wave-amplitude transfer, a back-flap transmission
+factor, and a heading-angle model (front = index 0, back = index 1).
 """
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import FlapForcing, ForcingSpec
+from .dynamics import ForcingSpec
 from .errors import InvalidInputError, read_table
 from .hydro import Environment, angular_frequency, solve_dispersion
 
@@ -55,29 +58,31 @@ class TorqueScenario:
 
 
 def build_torque_scenario(s: TorqueScenario, env: Environment = Environment()) -> ForcingSpec:
-    """ForcingSpec for one of the torque-forcing cases.
+    """ForcingSpec for one of the torque-forcing cases, as torque phasors.
 
-    The arbitrary-phase case lags the right flap by the travel phase
+    The left flap, when forced, has phasor T0. The out-of-phase right flap
+    has exactly -T0, so its flaps are exact mirror images; the
+    arbitrary-phase case lags the right flap by the travel phase
     2*pi*d/lambda of a wave covering the separation distance.
     """
     omega = 2.0 * math.pi / s.period
     t0 = s.amplitude
     if s.variant is Scenario.SINGLE:
-        return ForcingSpec(omega, (FlapForcing(t0, 0.0),))
-    if s.variant is Scenario.RIGHT_ONLY_LEFT_FIXED:
-        flaps = (FlapForcing(0.0, 0.0, fixed=True), FlapForcing(t0, 0.0))
+        torques = (t0,)
+    elif s.variant is Scenario.RIGHT_ONLY_LEFT_FIXED:
+        torques = (None, t0)
     elif s.variant is Scenario.RIGHT_ONLY_LEFT_FREE:
-        flaps = (FlapForcing(0.0, 0.0), FlapForcing(t0, 0.0))
+        torques = (0.0, t0)
     elif s.variant is Scenario.IN_PHASE:
-        flaps = (FlapForcing(t0, 0.0), FlapForcing(t0, 0.0))
+        torques = (t0, t0)
     elif s.variant is Scenario.OUT_OF_PHASE:
-        flaps = (FlapForcing(t0, 0.0), FlapForcing(t0, math.pi))
+        torques = (t0, -t0)
     elif s.variant is Scenario.ARBITRARY_PHASE:
         k = solve_dispersion(s.period, env, s.distance)
-        flaps = (FlapForcing(t0, 0.0), FlapForcing(t0, k * s.distance))
+        torques = (t0, cmath.rect(t0, k * s.distance))
     else:  # pragma: no cover
         raise InvalidInputError(f"unknown scenario {s.variant}")
-    return ForcingSpec(omega, flaps)
+    return ForcingSpec(omega, torques)
 
 
 @dataclass(frozen=True)
@@ -185,10 +190,11 @@ def build_wave_forcing(
 ) -> ForcingSpec:
     """Dual-flap forcing from a regular wave at separation ``distance``.
 
-    Front flap: amplitude Gamma(T) * (H/2) * cos(beta), phase 0. Back flap:
+    Front flap: the real phasor Gamma(T) * (H/2) * cos(beta). Back flap:
     the same amplitude scaled by the transmission factor tau(d), with phase
     -k * d * cos(beta) because the wave arrives later at the back flap and
-    the effective separation along propagation is d * cos(beta).
+    the effective separation along propagation is d * cos(beta). A wave
+    whose torque overflows the float range is an InvalidInputError.
     """
     if not (math.isfinite(distance) and distance >= 0.0):
         raise InvalidInputError(f"distance must be finite and >= 0, got {distance}")
@@ -198,11 +204,8 @@ def build_wave_forcing(
     cos_b = math.cos(math.radians(wave.heading_deg))
     front_amp = transfer_at(xfer, wave.period) * wave.amplitude * cos_b
     tau = xfer.transmission(distance, lam)
-    flaps = (
-        FlapForcing(front_amp, 0.0),
-        FlapForcing(tau * front_amp, -k * distance * cos_b),
-    )
-    return ForcingSpec(omega, flaps)
+    back = cmath.rect(tau * front_amp, -k * distance * cos_b)
+    return ForcingSpec(omega, (front_amp, back))
 
 
 def build_single_wave_forcing(
@@ -212,4 +215,4 @@ def build_single_wave_forcing(
     omega = 2.0 * math.pi / wave.period
     cos_b = math.cos(math.radians(wave.heading_deg))
     amp = transfer_at(xfer, wave.period) * wave.amplitude * cos_b
-    return ForcingSpec(omega, (FlapForcing(amp, 0.0),))
+    return ForcingSpec(omega, (amp,))

@@ -4,13 +4,13 @@ time-domain vs frequency-domain agreement, energy balance, and linearity.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import (
-    FlapForcing,
     ForcingSpec,
     IntegrationConfig,
     SystemMatrices,
@@ -81,7 +81,7 @@ def _random_case(rng: np.random.Generator) -> tuple[SystemMatrices, ForcingSpec,
         np.where(eye, damping, coupling_damping),
         np.full(dof, stiffness),
     )
-    forcing = ForcingSpec(omega, tuple(map(FlapForcing, amps, phases)))
+    forcing = ForcingSpec(omega, tuple(map(cmath.rect, amps, phases)))
     return system, forcing, params
 
 

@@ -6,6 +6,7 @@ configuration (analytic coupling kernel, alpha=0.05) unless a criterion
 explicitly disables the interaction paths.
 """
 
+import cmath
 import json
 import math
 import time
@@ -15,7 +16,6 @@ import pytest
 
 from oswec import (
     Design,
-    FlapForcing,
     ForcingSpec,
     JPD,
     annual_energy,
@@ -83,7 +83,7 @@ def test_criterion_02_closed_form_resonance():
         np.array([[1.0e7]]), np.array([[1.0e6]]), np.array([4.375e6])
     )
     omega = 2.0 * math.pi / 9.5
-    forcing = ForcingSpec(omega, (FlapForcing(0.6e6),))
+    forcing = ForcingSpec(omega, (0.6e6,))
     record = integrate(system, forcing)
     metrics = response_metrics(record)
     expected = 0.6e6 / (1.0e6 * omega)
@@ -116,7 +116,7 @@ def test_criterion_03_energy_balance():
     # the reference resonant case
     check(
         SystemMatrices(np.array([[1.0e7]]), np.array([[1.0e6]]), np.array([4.375e6])),
-        ForcingSpec(2.0 * math.pi / 9.5, (FlapForcing(0.6e6),)),
+        ForcingSpec(2.0 * math.pi / 9.5, (0.6e6,)),
     )
     # coupled pairs across the studied periods
     rng = np.random.default_rng(42)
@@ -131,8 +131,8 @@ def test_criterion_03_energy_balance():
         forcing = ForcingSpec(
             2.0 * math.pi / te,
             (
-                FlapForcing(rng.uniform(0.6e6, 1.2e6), rng.uniform(-math.pi, math.pi)),
-                FlapForcing(rng.uniform(0.6e6, 1.2e6), rng.uniform(-math.pi, math.pi)),
+                cmath.rect(rng.uniform(0.6e6, 1.2e6), rng.uniform(-math.pi, math.pi)),
+                cmath.rect(rng.uniform(0.6e6, 1.2e6), rng.uniform(-math.pi, math.pi)),
             ),
         )
         check(system, forcing)
@@ -182,7 +182,7 @@ def test_criterion_04_modal_mapping(model):
             coeffs.damping * omega,
         )
         for sign, phase_r in ((+1, 0.0), (-1, math.pi)):
-            forcing = ForcingSpec(omega, (FlapForcing(t0, 0.0), FlapForcing(t0, phase_r)))
+            forcing = ForcingSpec(omega, (t0, cmath.rect(t0, phase_r)))
             record = integrate(system, forcing)
             metrics = response_metrics(record)
             modal = t0 / math.hypot(

@@ -128,6 +128,19 @@ class TestSimulate:
         assert code == 2
         assert "non-finite" in capsys.readouterr().err
 
+    def test_overflowing_torque_is_a_configuration_error(self, configs_dir, tmp_path, capsys):
+        # H = 1e308 gives an infinite front torque: bad input, not an unstable system
+        out = tmp_path / "bad"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([str(configs_dir / "reference.json"), "--out", str(out), "simulate",
+                         "--wave", "--H", "1e308", "--Te", "9.5", "--d", "10"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "oswec: configuration error: torque phasor of flap 0 is not finite: inf\n"
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert not out.exists()
+
     def test_non_steady_case_is_named_on_stderr(self, fast_config, tmp_path, capsys):
         # 12 periods, the least that covers ramp plus measure, is too few for
         # the drift to settle below tolerance
@@ -217,7 +230,9 @@ class TestSweepCommand:
 
     def test_failed_rows_are_counted_on_stderr(self, fast_config, tmp_path, capsys):
         # a kernel gain of 1 makes the in-phase modal damping negative at
-        # 10 m and 38 s: every pair diverges, only the fixed-left rows settle
+        # 10 m and 38 s: every pair whose torques force the in-phase mode
+        # diverges; the fixed-left rows and the out-of-phase rows (torques
+        # T0 and -T0, in-phase forcing exactly 0) settle
         data = json.loads(fast_config.read_text())
         data["coefficients"]["analytic"]["alpha"] = 1.0
         data["integration"]["max_periods"] = 200
@@ -229,8 +244,8 @@ class TestSweepCommand:
         )
         assert code == 0
         captured = capsys.readouterr()
-        assert captured.err == "oswec: sweep_torque: 0 of 10 rows not steady, 8 failed\n"
-        assert captured.out.startswith("10 rows (8 failed) -> ")
+        assert captured.err == "oswec: sweep_torque: 0 of 10 rows not steady, 6 failed\n"
+        assert captured.out.startswith("10 rows (6 failed) -> ")
 
     def test_clean_sweep_prints_nothing_on_stderr(self, fast_config, capsys):
         code = main(

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 import oswec.energy as energy_mod
 from oswec.config import with_coupling_disabled
 from oswec.dynamics import (
-    FlapForcing,
     ForcingSpec,
     IntegrationConfig,
     ResponseRecord,
@@ -72,7 +71,7 @@ class TestRecordWindow:
         cfg = IntegrationConfig(steps_per_period=100)
         system = SystemMatrices(np.array([[1.0e7]]), np.array([[1.0e6]]), np.array([4.375e6]))
         omega = 2.0 * math.pi / 9.5
-        record = integrate(system, ForcingSpec(omega, (FlapForcing(0.6e6),)), cfg)
+        record = integrate(system, ForcingSpec(omega, (0.6e6,)), cfg)
         expected = 0.6e6 / (1.0e6 * omega)
         assert response_metrics(record).amplitude[0] == pytest.approx(expected, rel=5e-3)
         pto = PTOModel(0.5e6)
@@ -520,6 +519,19 @@ def test_in_phase_flaps_are_identical(reference, distance, period):
         np.testing.assert_array_equal(series[:, 0], series[:, 1])
     metrics = result.metrics
     for values in (metrics.rms_rotation, metrics.amplitude, metrics.phase, result.power):
+        assert values[0] == values[1]
+
+
+@pytest.mark.parametrize("period", [7.5, 10.5])
+def test_out_of_phase_flaps_are_mirror_images(reference, period):
+    # the torques are exactly T0 and -T0, so the in-phase mode is forced by
+    # exactly 0 and the right flap is the left one negated in every sample
+    scenario = TorqueScenario(Scenario.OUT_OF_PHASE, 1.2e6, period, 10.0)
+    result = run_torque_case(reference, scenario)
+    for series in (result.record.rotation, result.record.velocity):
+        np.testing.assert_array_equal(series[:, 1], -series[:, 0])
+    metrics = result.metrics
+    for values in (metrics.rms_rotation, metrics.amplitude, result.power):
         assert values[0] == values[1]
 
 

@@ -226,6 +226,16 @@ class TestUnitAmplitudeCollapse:
         return replace(reference, integration=cfg,
                        coefficients=replace(reference.coefficients, alpha=1.0))
 
+    @pytest.mark.parametrize("torque", [0.6e6, 1.0e6])
+    def test_out_of_phase_stays_off_the_unstable_mode(self, reference, torque):
+        # T0 and -T0 force the in-phase mode by exactly 0, so its negative
+        # damping never acts and the out-of-phase mode settles
+        scenario = TorqueScenario(Scenario.OUT_OF_PHASE, torque, 38.0, 10.0)
+        result = run_torque_case(self.unstable_model(reference, 200), scenario)
+        assert result.metrics.steady
+        assert np.isfinite(result.record.rotation).all()
+        assert np.isfinite(result.power).all()
+
     @pytest.mark.parametrize("max_periods", [200, 86])
     def test_unstable_rows_keep_their_own_errors(self, reference, max_periods):
         # at unit torque this case overflows at step 10674, or within 86

@@ -64,7 +64,6 @@ def test_zero_amplitude_case_trivially_passes():
     import numpy as np
 
     from oswec.dynamics import (
-        FlapForcing,
         ForcingSpec,
         SystemMatrices,
         freq_domain_solve,
@@ -73,7 +72,7 @@ def test_zero_amplitude_case_trivially_passes():
     )
 
     system = SystemMatrices(np.array([[1.0e7]]), np.array([[1.0e6]]), np.array([4.375e6]))
-    forcing = ForcingSpec(2 * math.pi / 9.5, (FlapForcing(0.0),))
+    forcing = ForcingSpec(2 * math.pi / 9.5, (0.0,))
     record = integrate(system, forcing, FAST)
     metrics = response_metrics(record)
     theta = freq_domain_solve(system, forcing)
