@@ -7,8 +7,10 @@ The dual-flap system is
 
 per flap, with P = T0 exp(i phi) its complex torque phasor: the torque is
 T0 sin(w t + phi). The single-flap case drops the coupling terms.
-A pair is mirror-symmetric, so it is two independent oscillators, its
-in-phase and out-of-phase modes. Time integration steps the modes with
+A pair is mirror-symmetric by construction: ``SystemMatrices`` holds one
+flap's inertia, damping and stiffness and the pair's two coupling values.
+So a pair is two independent oscillators, its in-phase and out-of-phase
+modes. Time integration steps the modes with
 fixed-step classical RK4 run to harmonic steady state.
 The system is linear and time-invariant and its forcing repeats exactly
 every ``steps_per_period`` steps, so one RK4 step is the affine map
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -35,71 +37,69 @@ from .errors import InvalidInputError, NumericalError
 from .hydro import FlapProperties, HydroCoefficients
 
 
-def _modal(row: list) -> list:
-    """The in-phase and out-of-phase modal values (sum and difference) of a
-    row of a mirror-symmetric pair; a lone flap's row is its own mode."""
-    return [row[0] + row[1], row[0] - row[1]] if len(row) == 2 else row
-
-
 @dataclass(frozen=True)
 class SystemMatrices:
-    """Total inertia, damping and stiffness of one flap or a mirror-symmetric pair."""
+    """One flap's total inertia, damping and stiffness, and for a pair the
+    (inertia, damping) coupling its two identical flaps; ``None`` for one
+    flap. A pair is mirror-symmetric by construction."""
 
-    inertia: np.ndarray  # (n, n) kg m^2
-    damping: np.ndarray  # (n, n) N m s/rad
-    stiffness: np.ndarray  # (n,) N m/rad
+    inertia: float  # kg m^2
+    damping: float  # N m s/rad
+    stiffness: float  # N m/rad
+    coupling: tuple[float, float] | None = None  # (kg m^2, N m s/rad)
 
     def __post_init__(self):
-        m = np.atleast_2d(np.asarray(self.inertia, dtype=float))
-        c = np.atleast_2d(np.asarray(self.damping, dtype=float))
-        k = np.atleast_1d(np.asarray(self.stiffness, dtype=float))
-        n = k.size
-        if m.shape != (n, n) or c.shape != (n, n):
-            raise InvalidInputError(
-                f"matrix shapes disagree: inertia {m.shape}, damping {c.shape}, dof {n}"
-            )
-        if n not in (1, 2):
-            raise InvalidInputError(f"expected 1 or 2 degrees of freedom, got {n}")
-        # entry by entry on Python floats, so a NaN anywhere fails (lists
-        # compared whole would short-circuit on identity)
-        for name, a in (("inertia", m), ("damping", c), ("stiffness", k)):
-            flat = a.ravel().tolist()
-            if not all(x == y == z for x, y, z in zip(flat, a.T.ravel().tolist(), flat[::-1])):
-                raise InvalidInputError(f"{name} must be mirror-symmetric, got {a.tolist()}")
-        modal = _modal(m[0].tolist())
+        # Python floats, so the modes' step maps are built in Python arithmetic
+        coupling = self.coupling or ()
+        values = [float(x) for x in (self.inertia, self.damping, self.stiffness, *coupling)]
+        if not all(map(math.isfinite, values)):
+            raise InvalidInputError(f"system values must be finite, got {values}")
+        for name, value in zip(("inertia", "damping", "stiffness"), values):
+            object.__setattr__(self, name, value)
+        if self.coupling is not None:
+            object.__setattr__(self, "coupling", tuple(values[3:]))
+        modal = [inertia for inertia, _ in self.modes()]
         if not all(x > 0.0 for x in modal):
             raise InvalidInputError(
                 f"inertia must be positive-definite, got modal inertias {modal}"
             )
-        if c.item(0) <= 0.0:  # the diagonal is mirror-symmetric: one entry
+        if self.damping <= 0.0:
             raise InvalidInputError("diagonal damping must be positive")
-        object.__setattr__(self, "inertia", m)
-        object.__setattr__(self, "damping", c)
-        object.__setattr__(self, "stiffness", k)
 
     @property
     def dof(self) -> int:
-        return self.stiffness.size
+        return 1 if self.coupling is None else 2
+
+    def modes(self) -> list[tuple[float, float]]:
+        """(inertia, damping) of each mode: a pair's in-phase (sum) and
+        out-of-phase (difference) modes, or the lone flap itself."""
+        if self.coupling is None:
+            return [(self.inertia, self.damping)]
+        ci, cd = self.coupling
+        return [(self.inertia + ci, self.damping + cd), (self.inertia - ci, self.damping - cd)]
+
+    def matrices(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The (n, n) inertia and damping and (n,) stiffness in the flaps'
+        own coordinates."""
+        m, c = self.inertia, self.damping
+        if self.coupling is None:
+            return np.array([[m]]), np.array([[c]]), np.array([self.stiffness])
+        ci, cd = self.coupling
+        return (
+            np.array([[m, ci], [ci, m]]), np.array([[c, cd], [cd, c]]), np.full(2, self.stiffness)
+        )
 
 
 def assemble_system(
     props: FlapProperties, coeffs: HydroCoefficients, dof: int
 ) -> SystemMatrices:
-    """Populate the system matrices for one flap or a symmetric pair.
-
-    dof = 1 ignores the coupling terms; dof = 2 places the symmetric
-    coupling value in both off-diagonal slots.
-    """
+    """The system of one flap (dof = 1, the coupling terms ignored) or of a
+    pair of identical flaps coupled by the coefficients' coupling terms."""
     if dof not in (1, 2):
         raise InvalidInputError(f"dof must be 1 or 2, got {dof}")
-    inertia = props.inertia_dry + coeffs.added_inertia
-    if dof == 1:
-        return SystemMatrices([[inertia]], [[coeffs.damping]], [props.stiffness])
-    ci, cd = coeffs.coupling_inertia, coeffs.coupling_damping
+    coupling = (coeffs.coupling_inertia, coeffs.coupling_damping) if dof == 2 else None
     return SystemMatrices(
-        [[inertia, ci], [ci, inertia]],
-        [[coeffs.damping, cd], [cd, coeffs.damping]],
-        [props.stiffness, props.stiffness],
+        props.inertia_dry + coeffs.added_inertia, coeffs.damping, props.stiffness, coupling
     )
 
 
@@ -108,7 +108,8 @@ class ForcingSpec:
     """Shared angular frequency plus one complex torque phasor per flap.
 
     The phasor T0 exp(i phi) drives its flap with Im(T0 exp(i phi) exp(i w t))
-    = T0 sin(w t + phi); ``None`` holds the flap fixed.
+    = T0 sin(w t + phi); ``None`` holds the flap fixed. At least one flap
+    is free.
     """
 
     omega: float  # rad/s
@@ -123,6 +124,8 @@ class ForcingSpec:
             if t is not None and not cmath.isfinite(t):
                 raise InvalidInputError(f"torque phasor of flap {i} is not finite: {t}")
         torques = tuple(None if t is None else complex(t) for t in self.torques)
+        if all(t is None for t in torques):
+            raise InvalidInputError("a forcing needs at least one free flap")
         object.__setattr__(self, "torques", torques)
 
     @property
@@ -151,8 +154,9 @@ class IntegrationConfig:
     convergence_tol: float = 1e-4
 
     def __post_init__(self):
-        # below 3 steps per period the harmonic fit aliases the forcing
-        lows = {"steps_per_period": 3, "ramp_periods": 1, "measure_periods": 1, "max_periods": 1}
+        # below 3 steps per period the harmonic fit aliases the forcing, and
+        # it needs a measure window of at least 3 periods
+        lows = {"steps_per_period": 3, "ramp_periods": 1, "measure_periods": 3, "max_periods": 1}
         for name, low in lows.items():
             if getattr(self, name) < low:
                 raise InvalidInputError(f"{name} must be >= {low}, got {getattr(self, name)}")
@@ -171,7 +175,8 @@ class ResponseRecord:
     A fixed flap's columns are identically zero. ``steady`` is False when
     the per-cycle RMS drift never dropped below the configured tolerance.
     ``window`` is the sample slice of the final measure periods, the one
-    every steady-state reduction averages over.
+    every steady-state reduction averages over; ``integrate`` runs at least
+    ramp plus measure periods, so the window lies inside the record.
     """
 
     time: np.ndarray  # (S,) s
@@ -187,32 +192,21 @@ class ResponseRecord:
         return self.rotation.shape[1]
 
     def measured(self, series: np.ndarray) -> np.ndarray:
-        """``series`` (time along axis 0) over the measure window.
-
-        Raises InvalidInputError when the record is shorter than its window.
-        """
-        start, stop = self.window.start, self.window.stop
-        if start < 0:
-            raise InvalidInputError(
-                f"record of {self.time.size} samples is shorter than its "
-                f"{stop - start}-sample measure window"
-            )
+        """``series`` (time along axis 0) over the measure window."""
         return series[self.window]
 
 
 def _free_model(system: SystemMatrices, forcing: ForcingSpec) -> tuple:
-    """The system with its fixed flaps removed: the free flap indices, their
-    inertia, damping and stiffness, and their torque phasors."""
+    """The free flap indices, the system of the free flaps and their torque
+    phasors. A pair with one flap fixed leaves that flap's own system."""
     if forcing.dof != system.dof:
         raise InvalidInputError(
             f"forcing has {forcing.dof} flaps but the system has {system.dof} degrees of freedom"
         )
     free = forcing.free_indices()
-    phasor = [forcing.torques[i] for i in free]
-    if len(free) == system.dof:
-        return free, system.inertia, system.damping, system.stiffness, phasor
-    block = np.ix_(free, free)
-    return free, system.inertia[block], system.damping[block], system.stiffness[free], phasor
+    if len(free) < system.dof:
+        system = replace(system, coupling=None)
+    return free, system, [forcing.torques[i] for i in free]
 
 
 def _rk4_mode(h: float, a: float, b: float, g: complex, z: complex) -> tuple:
@@ -245,11 +239,13 @@ def integrate(
     least ramp_periods + measure_periods full periods, then continues until
     the per-cycle rotation RMS changes by less than convergence_tol
     (relative) for every free flap, or max_periods is reached (in which
-    case the record is flagged steady=False). Fixed flaps are eliminated
-    from the integrated system and reported as zero series.
+    case the record is flagged steady=False). With one flap of a pair
+    fixed, the free flap's own system (no coupling) is integrated and the
+    fixed flap is reported as a zero series.
 
-    The free flaps are stepped as their modes and mapped back to the flaps
-    for the test and the record, so flaps forced alike are identical. One
+    The free flaps are stepped as their modes (``SystemMatrices.modes``)
+    and mapped back to the flaps for the test and the record, so flaps
+    forced alike are identical. One
     RK4 step is y <- P y + Im(Q exp(i w t)), with P RK4's stability
     polynomial in dt*A; with the forcing phase as a rotating pair
     (cos w t, sin w t) in the state it is one real linear map. Its powers,
@@ -271,18 +267,11 @@ def integrate(
     steady=True is only ever reported for a finite RMS.
     """
     n = system.dof
-    free, m, c, k, phasor = _free_model(system, forcing)
+    free, free_system, phasor = _free_model(system, forcing)
     omega = forcing.omega
     steps = cfg.steps_per_period
     dt = (2.0 * math.pi / omega) / steps
     span = cfg.measure_periods * steps
-
-    if not free:
-        # everything constrained: a single zero cycle, shorter than its window
-        time = np.arange(steps + 1) * dt
-        zeros = np.zeros((steps + 1, n))
-        window = slice(steps + 1 - span, steps + 1)
-        return ResponseRecord(time, zeros, zeros.copy(), omega, True, 1, window)
 
     # The state is y = (rotations, velocities) of the modes, mode i in rows
     # i and nf + i. The forcing phase rides in it too: with x = (y, cos w t,
@@ -299,12 +288,13 @@ def integrate(
     cos_h, sin_h = math.cos(omega * dt), math.sin(omega * dt)
     phi[d][d:], phi[d + 1][d:] = [cos_h, -sin_h], [sin_h, cos_h]
     # each mode's inertia, damping and forcing; the modal forcing is (T_l +- T_r)/2
-    modal = [_modal(r) for r in (m[0].tolist(), c[0].tolist(), phasor)]
+    if nf == 2:
+        phasor = [phasor[0] + phasor[1], phasor[0] - phasor[1]]
     z = complex(math.cos(0.5 * omega * dt), math.sin(0.5 * omega * dt))
-    for i, (inertia, damping, force, stiffness) in enumerate(zip(*modal, k.tolist())):
+    for i, ((inertia, damping), force) in enumerate(zip(free_system.modes(), phasor)):
         x, v = i, nf + i
         (px, pv), (qx, qv) = _rk4_mode(
-            dt, stiffness / inertia, damping / inertia, force / inertia / nf, z
+            dt, free_system.stiffness / inertia, damping / inertia, force / inertia / nf, z
         )
         phi[x][x], phi[x][v], phi[x][d], phi[x][d + 1] = *px, qx.imag, qx.real
         phi[v][x], phi[v][v], phi[v][d], phi[v][d + 1] = *pv, qv.imag, qv.real
@@ -411,16 +401,15 @@ def freq_domain_solve(system: SystemMatrices, forcing: ForcingSpec) -> np.ndarra
 
         (-w^2 M + i w C + K) Theta = P
 
-    solved in the flaps' own coordinates, not the modes ``integrate``
-    steps. Fixed flaps are removed by deleting their row and column before
-    the solve; their returned amplitude is 0. The magnitude of each entry
-    is the rotation amplitude and its argument the phase in the same sine
-    convention as the integrator.
+    solved in the flaps' own coordinates (``SystemMatrices.matrices``), not
+    the modes ``integrate`` steps. With one flap of a pair fixed, the solve
+    is that of the free flap's own system; the fixed flap's returned
+    amplitude is 0. The magnitude of each entry is the rotation amplitude
+    and its argument the phase in the same sine convention as the
+    integrator.
     """
-    free, m, c, k, f = _free_model(system, forcing)
-    theta = np.zeros(system.dof, dtype=complex)
-    if not free:
-        return theta
+    free, free_system, f = _free_model(system, forcing)
+    m, c, k = free_system.matrices()
     omega = forcing.omega
     z = -(omega**2) * m + 1j * omega * c + np.diag(k)
     try:
@@ -429,6 +418,7 @@ def freq_domain_solve(system: SystemMatrices, forcing: ForcingSpec) -> np.ndarra
         raise NumericalError(f"harmonic system matrix is singular: {exc}") from None
     if not np.isfinite(sol).all():
         raise NumericalError("harmonic solve produced non-finite amplitudes")
+    theta = np.zeros(system.dof, dtype=complex)
     theta[free] = sol
     return theta
 
@@ -552,4 +542,4 @@ def input_power(record: ResponseRecord, forcing: ForcingSpec) -> float:
 def dissipated_power(record: ResponseRecord, system: SystemMatrices) -> float:
     """Mean power removed by the damping matrix over the record's measure window [W]."""
     v = record.measured(record.velocity)
-    return float(np.mean(np.sum((v @ system.damping) * v, axis=1)))
+    return float(np.mean(np.sum((v @ system.matrices()[1]) * v, axis=1)))

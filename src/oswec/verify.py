@@ -66,21 +66,14 @@ def _random_case(rng: np.random.Generator) -> tuple[SystemMatrices, ForcingSpec,
         "damping_ratio": zeta,
         "omega_rad_s": omega,
     }
-    coupling_inertia = coupling_damping = 0.0
+    coupling = None
     if dof == 2:
-        coupling_inertia = rng.uniform(-0.4, 0.4) * inertia
-        coupling_damping = rng.uniform(-0.7, 0.7) * damping
-        params["coupling_inertia_kg_m2"] = coupling_inertia
-        params["coupling_damping_Nm_s_per_rad"] = coupling_damping
+        coupling = rng.uniform(-0.4, 0.4) * inertia, rng.uniform(-0.7, 0.7) * damping
+        params["coupling_inertia_kg_m2"], params["coupling_damping_Nm_s_per_rad"] = coupling
     amps = rng.uniform(1e5, 2e6, size=dof).tolist()
     phases = rng.uniform(-math.pi, math.pi, size=dof).tolist()
     params.update({"torque_Nm": amps, "phase_rad": phases})
-    eye = np.eye(dof, dtype=bool)
-    system = SystemMatrices(
-        np.where(eye, inertia, coupling_inertia),
-        np.where(eye, damping, coupling_damping),
-        np.full(dof, stiffness),
-    )
+    system = SystemMatrices(inertia, damping, stiffness, coupling)
     forcing = ForcingSpec(omega, tuple(map(cmath.rect, amps, phases)))
     return system, forcing, params
 

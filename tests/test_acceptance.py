@@ -79,9 +79,7 @@ def test_criterion_01_oracle_equivalence():
 def test_criterion_02_closed_form_resonance():
     """The reference 1-DOF configuration driven at 9.5 s reaches the
     closed-form resonant amplitude T0/(C*omega) = 0.9071 rad within 0.5 %."""
-    system = SystemMatrices(
-        np.array([[1.0e7]]), np.array([[1.0e6]]), np.array([4.375e6])
-    )
+    system = SystemMatrices(1.0e7, 1.0e6, 4.375e6)
     omega = 2.0 * math.pi / 9.5
     forcing = ForcingSpec(omega, (0.6e6,))
     record = integrate(system, forcing)
@@ -115,7 +113,7 @@ def test_criterion_03_energy_balance():
 
     # the reference resonant case
     check(
-        SystemMatrices(np.array([[1.0e7]]), np.array([[1.0e6]]), np.array([4.375e6])),
+        SystemMatrices(1.0e7, 1.0e6, 4.375e6),
         ForcingSpec(2.0 * math.pi / 9.5, (0.6e6,)),
     )
     # coupled pairs across the studied periods
@@ -123,11 +121,7 @@ def test_criterion_03_energy_balance():
     for te in (7.5, 8.5, 9.5, 10.5, 11.5):
         ci = rng.uniform(-0.3, 0.3) * 1.0e7
         cd = rng.uniform(-0.6, 0.6) * 1.0e6
-        system = SystemMatrices(
-            np.array([[1.0e7, ci], [ci, 1.0e7]]),
-            np.array([[1.0e6, cd], [cd, 1.0e6]]),
-            np.array([4.375e6, 4.375e6]),
-        )
+        system = SystemMatrices(1.0e7, 1.0e6, 4.375e6, (ci, cd))
         forcing = ForcingSpec(
             2.0 * math.pi / te,
             (
@@ -161,19 +155,10 @@ def test_criterion_04_modal_mapping(model):
         coeffs = model.coefficients.pair(te, 10.0, env)
         assert coeffs.coupling_damping < 0.0  # reference kernel at short spacing
         system = SystemMatrices(
-            np.array(
-                [
-                    [flap.inertia_dry + coeffs.added_inertia, coeffs.coupling_inertia],
-                    [coeffs.coupling_inertia, flap.inertia_dry + coeffs.added_inertia],
-                ]
-            ),
-            np.array(
-                [
-                    [coeffs.damping, coeffs.coupling_damping],
-                    [coeffs.coupling_damping, coeffs.damping],
-                ]
-            ),
-            np.array([flap.stiffness, flap.stiffness]),
+            flap.inertia_dry + coeffs.added_inertia,
+            coeffs.damping,
+            flap.stiffness,
+            (coeffs.coupling_inertia, coeffs.coupling_damping),
         )
         omega = 2.0 * math.pi / te
         t0 = 0.6e6

@@ -305,6 +305,20 @@ class TestAEPCommand:
         lines = (out_dir(fast_config) / "aep_table.csv").read_text().splitlines()
         assert len(lines) == 1 + 8
 
+    def test_short_measure_window_exits_1_before_any_cell(self, fast_config, tmp_path, capsys):
+        # a harmonic fit needs three periods: two are a configuration error,
+        # not a table of failed cells
+        data = json.loads(fast_config.read_text())
+        data["integration"]["measure_periods"] = 2
+        fast_config.write_text(json.dumps(data))
+        jpd = self._write_jpd(tmp_path)
+        code = main([str(fast_config), "--workers", "1", "aep", "--jpd", str(jpd),
+                     "--distances", "10"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "configuration error: measure_periods must be >= 3, got 2" in err
+        assert not out_dir(fast_config).exists()
+
     def test_missing_jpd_exits_1(self, fast_config, capsys):
         code = main([str(fast_config), "aep", "--jpd", "no_such.csv"])
         assert code == 1

@@ -232,6 +232,7 @@ class TestStrictTypes:
             ({"flap": {**FLAP, "inertia_dry_kg_m2": 10**4999}}, "not valid JSON"),
             ({"integration": {"steps_per_period": 10**399}}, "steps_per_period"),
             ({"integration": {"steps_per_period": 2}}, "steps_per_period must be >= 3"),
+            ({"integration": {"measure_periods": 2}}, "measure_periods must be >= 3, got 2"),
             ({"environment": {"water_depth_m": 10**399}}, "too large"),
         ],
         ids=[
@@ -261,6 +262,7 @@ class TestStrictTypes:
             "over_digit_limit",
             "huge_steps",
             "aliasing_steps",
+            "short_measure_window",
             "huge_depth",
         ],
     )

@@ -47,21 +47,23 @@ class TestAssemble:
     def test_single_dof_placement(self):
         coeffs = HydroCoefficients(added_inertia=0.0, damping=1.0e6)
         system = assemble_system(PROPS, coeffs, dof=1)
-        assert system.inertia == pytest.approx(np.array([[1.0e7]]))
-        assert system.damping == pytest.approx(np.array([[1.0e6]]))
-        assert system.stiffness == pytest.approx(np.array([4.375e6]))
+        assert system == SystemMatrices(1.0e7, 1.0e6, 4.375e6)
+        assert system.coupling is None and system.dof == 1
 
     def test_zero_coupling_is_block_diagonal(self):
         coeffs = HydroCoefficients(added_inertia=2.0e6, damping=1.0e6)
         system = assemble_system(PROPS, coeffs, dof=2)
-        assert system.inertia[0, 1] == 0.0
-        assert system.damping[0, 1] == 0.0
+        assert system.coupling == (0.0, 0.0)
+        inertia, damping, _ = system.matrices()
+        assert inertia[0, 1] == damping[0, 1] == 0.0
 
     def test_symmetric_offdiagonals(self):
         coeffs = HydroCoefficients(2.0e6, 1.0e6, coupling_inertia=-2.0e6, coupling_damping=-1.5e5)
         system = assemble_system(PROPS, coeffs, dof=2)
-        assert system.inertia[0, 1] == system.inertia[1, 0] == -2.0e6
-        assert system.damping[0, 1] == system.damping[1, 0] == -1.5e5
+        assert system.coupling == (-2.0e6, -1.5e5)
+        inertia, damping, _ = system.matrices()
+        assert inertia[0, 1] == inertia[1, 0] == -2.0e6
+        assert damping[0, 1] == damping[1, 0] == -1.5e5
 
     def test_non_positive_definite_inertia_rejected(self):
         coeffs = HydroCoefficients(2.0e6, 1.0e6, coupling_inertia=-1.3e7)
@@ -74,7 +76,7 @@ class TestAssemble:
 
 
 def reference_1dof():
-    return SystemMatrices(np.array([[1.0e7]]), np.array([[1.0e6]]), np.array([4.375e6]))
+    return SystemMatrices(1.0e7, 1.0e6, 4.375e6)
 
 
 UNSTABLE_CFG = IntegrationConfig(
@@ -87,7 +89,7 @@ def unstable_in_phase_case():
     model = reference_model(alpha=1.0)
     scenario = TorqueScenario(Scenario.IN_PHASE, 1.0e6, 38.0, 10.0)
     system = model.system_for(scenario.period, scenario.distance, dual=True)
-    assert system.damping[0, 0] + system.damping[0, 1] < 0.0
+    assert system.modes()[0][1] < 0.0
     return system, build_torque_scenario(scenario, model.environment)
 
 
@@ -128,23 +130,16 @@ class TestIntegrate:
         assert np.all(record.rotation[:, 0] == 0.0)
         assert np.all(record.velocity[:, 0] == 0.0)
         assert np.any(record.rotation[:, 1] != 0.0)
-        # with the left flap fixed the right flap behaves as the single one
-        metrics = response_metrics(record)
-        single = integrate(
-            SystemMatrices(np.array([[1.0e7]]), np.array([[1.0e6]]), np.array([4.375e6])),
-            ForcingSpec(omega, (1.0e6,)),
-        )
-        single_metrics = response_metrics(single)
-        assert metrics.amplitude[1] == pytest.approx(single_metrics.amplitude[0], rel=1e-9)
+        # with the left flap fixed the right flap is the lone flap, in every bit
+        single = integrate(reference_1dof(), ForcingSpec(omega, (1.0e6,)))
+        np.testing.assert_array_equal(record.rotation[:, 1], single.rotation[:, 0])
+        np.testing.assert_array_equal(record.velocity[:, 1], single.velocity[:, 0])
+        assert (record.cycles, record.steady) == (single.cycles, single.steady)
 
     def test_unstable_system_raises_named_step(self):
         # valid diagonals but hugely negative coupling damping make the
         # in-phase mode blow up
-        system = SystemMatrices(
-            np.array([[1.0e7, 0.0], [0.0, 1.0e7]]),
-            np.array([[1.0e6, -3.0e7], [-3.0e7, 1.0e6]]),
-            np.array([4.375e6, 4.375e6]),
-        )
+        system = SystemMatrices(1.0e7, 1.0e6, 4.375e6, (0.0, -3.0e7))
         omega = 2.0 * math.pi / 9.5
         forcing = ForcingSpec(omega, (1.0e6, 1.0e6))
         with pytest.raises(NumericalError, match="step"):
@@ -176,22 +171,14 @@ class TestIntegrate:
         assert not record.steady
         assert record.cycles == 4
 
-    def test_all_fixed_record_is_shorter_than_its_window(self):
-        system = SystemMatrices(np.array([[1.0e7]]), np.array([[1.0e6]]), np.array([4.375e6]))
-        forcing = ForcingSpec(0.7, (None,))
-        record = integrate(system, forcing)
-        assert record.cycles == 1
-        for reduce in (
-            lambda: response_metrics(record),
-            lambda: input_power(record, forcing),
-            lambda: dissipated_power(record, system),
-        ):
-            with pytest.raises(InvalidInputError, match="shorter than its"):
-                reduce()
+    def test_forcing_with_no_free_flap_is_rejected(self):
+        for torques in ((None,), (None, None)):
+            with pytest.raises(InvalidInputError, match="^a forcing needs at least one free flap"):
+                ForcingSpec(0.7, torques)
 
     def test_rk4_step_halving(self):
         # well-damped case so the residual transient cannot mask the dt error
-        system = SystemMatrices(np.array([[1.0e7]]), np.array([[4.0e6]]), np.array([4.375e6]))
+        system = SystemMatrices(1.0e7, 4.0e6, 4.375e6)
         omega = 0.55
         forcing = ForcingSpec(omega, (1.0e6,))
         amps = []
@@ -220,9 +207,8 @@ def stepped_rk4(system, forcing, cfg=IntegrationConfig()):
     omega = forcing.omega
     steps = cfg.steps_per_period
     dt = (2.0 * math.pi / omega) / steps
-    m = system.inertia[np.ix_(free, free)]
-    c = system.damping[np.ix_(free, free)]
-    k = system.stiffness[free]
+    m, c, k = system.matrices()
+    m, c, k = m[np.ix_(free, free)], c[np.ix_(free, free)], k[free]
     torque = np.array([forcing.torques[i] for i in free])
     nf = len(free)
     minv = np.linalg.inv(m)
@@ -336,7 +322,7 @@ def _growing_case():
 def _beating_flap_case():
     # a lightly damped flap forced below resonance beats, its states
     # swelling and shrinking between 4e139 and 7e139 over 25 cycles
-    system = SystemMatrices(np.array([[1.0e6]]), np.array([[4.0e4]]), np.array([1.0e6]))
+    system = SystemMatrices(1.0e6, 4.0e4, 1.0e6)
     forcing = ForcingSpec(0.8, (0.36e6 * 10.0**139.63,))
     cfg = IntegrationConfig(
         steps_per_period=40, ramp_periods=1, measure_periods=3, max_periods=120
@@ -397,11 +383,7 @@ class TestCycleMapMatchesStepper:
         [
             lambda: (*unstable_in_phase_case(), UNSTABLE_CFG),
             lambda: (
-                SystemMatrices(
-                    np.array([[1.0e7, 0.0], [0.0, 1.0e7]]),
-                    np.array([[1.0e6, -3.0e7], [-3.0e7, 1.0e6]]),
-                    np.array([4.375e6, 4.375e6]),
-                ),
+                SystemMatrices(1.0e7, 1.0e6, 4.375e6, (0.0, -3.0e7)),
                 ForcingSpec(2.0 * math.pi / 9.5, (1.0e6, 1.0e6)),
                 IntegrationConfig(),
             ),
@@ -434,16 +416,8 @@ def linear_systems(draw):
         else cmath.rect(draw(st.floats(0.0, 2.0e6)), draw(st.floats(-math.pi, math.pi)))
         for i in range(dof)
     )
-    if dof == 1:
-        system = SystemMatrices(
-            np.array([[inertia]]), np.array([[damping]]), np.array([inertia * omega_n**2])
-        )
-    else:
-        system = SystemMatrices(
-            np.array([[inertia, ci], [ci, inertia]]),
-            np.array([[damping, cd], [cd, damping]]),
-            np.full(2, inertia * omega_n**2),
-        )
+    coupling = (ci, cd) if dof == 2 else None
+    system = SystemMatrices(inertia, damping, inertia * omega_n**2, coupling)
     ramp = draw(st.integers(1, 10))
     measure = draw(st.integers(3, 10))
     cfg = IntegrationConfig(
@@ -494,8 +468,6 @@ def test_convergence_replays_from_the_record(case):
     samples' squares; the same rule on numpy's mean over the recorded
     samples must stop at the same cycle with the same verdict."""
     system, forcing, cfg = case
-    if not forcing.free_indices():
-        return
     try:
         record = integrate(system, forcing, cfg)
     except NumericalError:
@@ -528,6 +500,63 @@ def test_integrate_matches_the_stepper(case):
         # a subnormal peak holds fewer digits: there, 1e-12 of the least normal float
         scale = max(np.max(np.abs(want)), sys.float_info.min)
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * scale)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="torque / inertia in the subnormal range: integrate and the stepper each lose "
+    "precision (9.6e-10 and 1.8e-10 of the peak off exact RK4) and differ by 1.1e-9",
+)
+def test_subnormal_torque_matches_the_stepper():
+    # a falsifying example of test_integrate_matches_the_stepper
+    system = SystemMatrices(1e6, 2e6, 1e6, (0.0, 4e6))
+    forcing = ForcingSpec(1.0, (1.1125369292536007e-308, 0j))
+    cfg = IntegrationConfig(steps_per_period=37, ramp_periods=1, measure_periods=3, max_periods=4)
+    rotation, velocity, cycles, _, window = stepped_rk4(system, forcing, cfg)
+    record = integrate(system, forcing, cfg)
+    assert (record.cycles, record.window) == (cycles, window)
+    for got, want in ((record.rotation, rotation), (record.velocity, velocity)):
+        scale = max(np.max(np.abs(want)), sys.float_info.min)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * scale)
+
+
+@st.composite
+def stable_systems(draw):
+    """Random 1- and 2-DOF systems with both modes damped, every flap forced,
+    in the ranges ``oswec verify`` draws from."""
+    dof = draw(st.sampled_from([1, 2]))
+    inertia = 10.0 ** draw(st.floats(6.0, 7.3))
+    omega_n = draw(st.floats(0.4, 1.2))
+    damping = 2.0 * draw(st.floats(0.02, 1.0)) * inertia * omega_n
+    coupling = None
+    if dof == 2:
+        coupling = draw(st.floats(-0.4, 0.4)) * inertia, draw(st.floats(-0.7, 0.7)) * damping
+    torques = tuple(
+        cmath.rect(draw(st.floats(1e5, 2e6)), draw(st.floats(-math.pi, math.pi)))
+        for _ in range(dof)
+    )
+    system = SystemMatrices(inertia, damping, inertia * omega_n**2, coupling)
+    return system, ForcingSpec(draw(st.floats(0.5, 2.0)) * omega_n, torques)
+
+
+@given(stable_systems())
+@settings(max_examples=200, deadline=None)
+def test_modes_and_matrices_describe_the_same_pair(case):
+    """Each mode solved as a scalar oscillator from ``modes()``, forced by
+    (T_l +- T_r)/2 and mapped back as Theta_l,r = Theta+ +- Theta-, is the
+    physical solve of ``freq_domain_solve`` on ``matrices()``."""
+    system, forcing = case
+    omega, torques = forcing.omega, forcing.torques
+    if system.dof == 2:
+        torques = ((torques[0] + torques[1]) / 2.0, (torques[0] - torques[1]) / 2.0)
+    modal = [
+        force / (system.stiffness - omega**2 * inertia + 1j * omega * damping)
+        for force, (inertia, damping) in zip(torques, system.modes())
+    ]
+    if system.dof == 2:
+        modal = [modal[0] + modal[1], modal[0] - modal[1]]
+    theta = freq_domain_solve(system, forcing)
+    assert np.abs(theta - modal).max() <= 1e-12 * np.abs(theta).max()
 
 
 class TestQuadraticFormFallback:
@@ -583,10 +612,7 @@ class TestQuadraticFormFallback:
     def test_subnormal_mean_square_settles_as_stepped(self):
         # states near 1e-161 rad have squares in the subnormal range, where
         # sums of squares taken in different orders round differently
-        system = SystemMatrices(
-            np.array([[1333521.43216332]]), np.array([[31254.40856633]]),
-            np.array([333380.35804083]),
-        )
+        system = SystemMatrices(1333521.43216332, 31254.40856633, 333380.35804083)
         forcing = ForcingSpec(0.25, (2.5867325459706784e-156,))
         cfg = IntegrationConfig(steps_per_period=37, ramp_periods=1, measure_periods=3,
                                 max_periods=4)
@@ -599,9 +625,7 @@ class TestQuadraticFormFallback:
         # uncoupled flaps forced 5e12-fold apart: the left flap is the
         # rounding-level difference of two equal modes, so its RMS, and the
         # verdict, are only reproducible from the very samples it came from
-        system = SystemMatrices(
-            np.diag([1.0e6, 1.0e6]), np.diag([1.5e6, 1.5e6]), np.array([1.0e6, 1.0e6])
-        )
+        system = SystemMatrices(1.0e6, 1.5e6, 1.0e6, (0.0, 0.0))
         forcing = ForcingSpec(2.0, (1.192092896e-07, 571831.0))
         cfg = IntegrationConfig(steps_per_period=37, ramp_periods=1, measure_periods=3,
                                 max_periods=5)
@@ -614,11 +638,7 @@ class TestQuadraticFormFallback:
         # the left flap moves through a coupling 1e-9 of the damping: it is
         # a difference of two modes ~1e9 times its own size
         damping = 1.0e6
-        system = SystemMatrices(
-            np.array([[1.0e7, 0.0], [0.0, 1.0e7]]),
-            np.array([[damping, 1e-9 * damping], [1e-9 * damping, damping]]),
-            np.array([4.375e6, 4.375e6]),
-        )
+        system = SystemMatrices(1.0e7, damping, 4.375e6, (0.0, 1e-9 * damping))
         forcing = ForcingSpec(self.OMEGA, (0.0, 1.0e6))
         cfg = IntegrationConfig()
         rotation, _, cycles, steady, _ = stepped_rk4(system, forcing, cfg)
@@ -755,11 +775,7 @@ class TestFreqDomain:
     def test_singular_at_undamped_modal_resonance(self):
         # diagonal damping positive, but the in-phase mode has zero damping
         # and is forced exactly at its resonance
-        system = SystemMatrices(
-            np.array([[1.0, 0.0], [0.0, 1.0]]),
-            np.array([[1.0, -1.0], [-1.0, 1.0]]),
-            np.array([1.0, 1.0]),
-        )
+        system = SystemMatrices(1.0, 1.0, 1.0, (0.0, -1.0))
         forcing = ForcingSpec(1.0, (1.0, 1.0))
         with pytest.raises(NumericalError):
             freq_domain_solve(system, forcing)
@@ -884,11 +900,7 @@ class TestOracleEquivalence:
             damping = 2.0 * zeta * inertia * omega_n
             ci = rng.uniform(-0.4, 0.4) * inertia
             cd = rng.uniform(-0.7, 0.7) * damping
-            system = SystemMatrices(
-                np.array([[inertia, ci], [ci, inertia]]),
-                np.array([[damping, cd], [cd, damping]]),
-                np.array([stiffness, stiffness]),
-            )
+            system = SystemMatrices(inertia, damping, stiffness, (ci, cd))
             omega = rng.uniform(0.5, 2.0) * omega_n
             forcing = ForcingSpec(
                 omega,
@@ -931,11 +943,7 @@ class TestOracleEquivalence:
     @settings(max_examples=40, deadline=None)
     def test_linearity_property_in_frequency_domain(self, scale):
         omega = 0.7
-        system = SystemMatrices(
-            np.array([[1.0e7, -4e5], [-4e5, 1.0e7]]),
-            np.array([[1.0e6, -2e5], [-2e5, 1.0e6]]),
-            np.array([4.375e6, 4.375e6]),
-        )
+        system = SystemMatrices(1.0e7, 1.0e6, 4.375e6, (-4e5, -2e5))
         forcing = ForcingSpec(omega, (cmath.rect(0.6e6, 0.3), cmath.rect(0.9e6, -1.2)))
         base = freq_domain_solve(system, forcing)
         scaled = freq_domain_solve(system, forcing.scaled(scale))
@@ -958,42 +966,30 @@ class TestValidation:
             IntegrationConfig(convergence_tol=0.0)
         with pytest.raises(InvalidInputError):
             IntegrationConfig(ramp_periods=150, measure_periods=100, max_periods=200)
-
-    @pytest.mark.parametrize(
-        "field, inertia, damping, stiffness",
-        [
-            ("damping", np.eye(2), np.diag([1.0, 2.0]), [1.0, 1.0]),
-            ("damping", np.eye(2), [[1.0, 0.1], [0.2, 1.0]], [1.0, 1.0]),
-            ("stiffness", np.eye(2), np.eye(2), [1.0, 2.0]),
-            ("inertia", np.diag([1.0, 2.0]), np.eye(2), [1.0, 1.0]),
-        ],
-        ids=["unequal-damping", "asymmetric-damping", "unequal-stiffness", "unequal-inertia"],
-    )
-    def test_pair_must_be_mirror_symmetric(self, field, inertia, damping, stiffness):
-        with pytest.raises(InvalidInputError, match=f"^{field} must be mirror-symmetric"):
-            SystemMatrices(np.array(inertia), np.array(damping), np.array(stiffness))
+        # a harmonic fit needs at least three periods in its window
+        for periods in (1, 2):
+            message = f"^measure_periods must be >= 3, got {periods}$"
+            with pytest.raises(InvalidInputError, match=message):
+                IntegrationConfig(measure_periods=periods)
 
     @pytest.mark.parametrize("field", ["inertia", "damping", "stiffness"])
     @pytest.mark.parametrize("dof, index", [(1, 0), (2, 0), (2, 1), (2, 2), (2, 3)])
     def test_nan_in_any_field_is_rejected(self, field, dof, index):
-        fields = {
-            "inertia": np.eye(dof) * 2.0,
-            "damping": np.eye(dof),
-            "stiffness": np.ones(dof),
-        }
-        fields[field].flat[index % fields[field].size] = math.nan
-        with pytest.raises(InvalidInputError):
-            SystemMatrices(fields["inertia"], fields["damping"], fields["stiffness"])
-
-    def test_three_degrees_of_freedom_rejected(self):
-        with pytest.raises(InvalidInputError, match="expected 1 or 2 degrees of freedom, got 3"):
-            SystemMatrices(np.eye(3), np.eye(3), np.ones(3))
+        # entry `index` of the field's physical matrix: an off-diagonal inertia
+        # or damping entry of a pair is its coupling value, any stiffness
+        # entry the one stiffness
+        values = {"inertia": 2.0, "damping": 1.0, "stiffness": 1.0}
+        coupling = [0.0, 0.0] if dof == 2 else None
+        if index in (1, 2) and field != "stiffness":
+            coupling[0 if field == "inertia" else 1] = math.nan
+        else:
+            values[field] = math.nan
+        with pytest.raises(InvalidInputError, match="^system values must be finite, got .*nan"):
+            SystemMatrices(**values, coupling=coupling)
 
     def test_system_matrix_invariants(self):
-        with pytest.raises(InvalidInputError):
-            SystemMatrices(np.array([[1.0, 0.5], [0.4, 1.0]]), np.eye(2), np.array([1.0, 1.0]))
-        with pytest.raises(InvalidInputError):
-            SystemMatrices(np.eye(2), -np.eye(2), np.array([1.0, 1.0]))
+        with pytest.raises(InvalidInputError, match="^diagonal damping must be positive$"):
+            SystemMatrices(1.0, -1.0, 1.0, (0.0, 0.0))
 
 
 def matrix_rk4_step(m_row, c_row, stiffness, phasor, omega, h):

@@ -69,7 +69,7 @@ class TestRecordWindow:
 
     def test_coarse_record_reduces_over_its_own_window(self):
         cfg = IntegrationConfig(steps_per_period=100)
-        system = SystemMatrices(np.array([[1.0e7]]), np.array([[1.0e6]]), np.array([4.375e6]))
+        system = SystemMatrices(1.0e7, 1.0e6, 4.375e6)
         omega = 2.0 * math.pi / 9.5
         record = integrate(system, ForcingSpec(omega, (0.6e6,)), cfg)
         expected = 0.6e6 / (1.0e6 * omega)

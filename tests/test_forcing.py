@@ -74,11 +74,7 @@ class TestTorqueScenarios:
         # same steady response as the in-phase case on any symmetric system
         from oswec.dynamics import SystemMatrices
 
-        system = SystemMatrices(
-            np.array([[1.0e7, -4e5], [-4e5, 1.0e7]]),
-            np.array([[1.0e6, -2e5], [-2e5, 1.0e6]]),
-            np.array([4.375e6, 4.375e6]),
-        )
+        system = SystemMatrices(1.0e7, 1.0e6, 4.375e6, (-4e5, -2e5))
         in_phase = build_torque_scenario(
             TorqueScenario(Scenario.IN_PHASE, 1.0e6, 8.5, lam), ENV
         )
@@ -139,7 +135,7 @@ class TestWaveForcing:
         # a decoupled flap's mean power then halves exactly
         from oswec.dynamics import SystemMatrices
 
-        system = SystemMatrices(np.array([[1.0e7]]), np.array([[1.0e6]]), np.array([4.375e6]))
+        system = SystemMatrices(1.0e7, 1.0e6, 4.375e6)
         a0 = abs(freq_domain_solve(system, build_single_wave_forcing(WaveCondition(1.75, 8.5, 0.0), XFER, ENV))[0])
         a45 = abs(freq_domain_solve(system, build_single_wave_forcing(WaveCondition(1.75, 8.5, 45.0), XFER, ENV))[0])
         assert (a45 / a0) ** 2 == pytest.approx(0.5, rel=1e-12)

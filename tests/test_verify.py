@@ -61,8 +61,6 @@ def test_report_lists_properties():
 def test_zero_amplitude_case_trivially_passes():
     import math
 
-    import numpy as np
-
     from oswec.dynamics import (
         ForcingSpec,
         SystemMatrices,
@@ -71,7 +69,7 @@ def test_zero_amplitude_case_trivially_passes():
         response_metrics,
     )
 
-    system = SystemMatrices(np.array([[1.0e7]]), np.array([[1.0e6]]), np.array([4.375e6]))
+    system = SystemMatrices(1.0e7, 1.0e6, 4.375e6)
     forcing = ForcingSpec(2 * math.pi / 9.5, (0.0,))
     record = integrate(system, forcing, FAST)
     metrics = response_metrics(record)
