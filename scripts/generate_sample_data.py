@@ -22,7 +22,6 @@ from oswec.config import (  # noqa: E402
     REFERENCE_DAMPING,
     REFERENCE_GAMMA,
 )
-from oswec.hydro import HydroCoefficients  # noqa: E402
 
 DATA = pathlib.Path(__file__).resolve().parents[1] / "data"
 
@@ -55,7 +54,6 @@ def write_jpd():
 def write_coefficient_table():
     """Demo table: reference-kernel coefficients evaluated on a small grid."""
     env = Environment()
-    base = HydroCoefficients(REFERENCE_ADDED_INERTIA, REFERENCE_DAMPING)
     periods = [7.5, 8.5, 9.5, 10.5, 11.5]
     distances = [10.0, 33.0, 55.0, 86.0]
     with open(DATA / "sample_coefficients.csv", "w", newline="", encoding="utf-8") as fh:
@@ -64,15 +62,17 @@ def write_coefficient_table():
         for t in periods:
             k = solve_dispersion(t, env)
             for d in distances:
-                c = analytic_coupling(base, d, k, REFERENCE_ALPHA)
+                coupling = analytic_coupling(
+                    REFERENCE_ADDED_INERTIA, REFERENCE_DAMPING, d, k, REFERENCE_ALPHA
+                )
                 writer.writerow(
                     [
                         format(t, "g"),
                         format(d, "g"),
-                        format(c.added_inertia, ".6g"),
-                        format(c.damping, ".6g"),
-                        format(c.coupling_inertia, ".6g"),
-                        format(c.coupling_damping, ".6g"),
+                        *(
+                            format(x, ".6g")
+                            for x in (REFERENCE_ADDED_INERTIA, REFERENCE_DAMPING, *coupling)
+                        ),
                     ]
                 )
     print(f"sample_coefficients.csv: {len(periods)}x{len(distances)} grid")

@@ -12,7 +12,6 @@ from .dynamics import (
     ResponseMetrics,
     ResponseRecord,
     SystemMatrices,
-    assemble_system,
     freq_domain_solve,
     harmonic_fit,
     integrate,
@@ -46,13 +45,10 @@ from .forcing import (
 )
 from .hydro import (
     AnalyticCoefficientSource,
-    CoefficientTable,
     Environment,
     FlapProperties,
-    HydroCoefficients,
     TableCoefficientSource,
     analytic_coupling,
-    coefficients_at,
     load_coefficient_table,
     solve_dispersion,
     wavelength,

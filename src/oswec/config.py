@@ -17,8 +17,6 @@ from .hydro import (
     AnalyticCoefficientSource,
     Environment,
     FlapProperties,
-    HydroCoefficients,
-    TableCoefficientSource,
     load_coefficient_table,
 )
 
@@ -56,9 +54,7 @@ def reference_model(
     return Model(
         environment=Environment(),
         flap=FlapProperties(REFERENCE_INERTIA_DRY, REFERENCE_STIFFNESS),
-        coefficients=AnalyticCoefficientSource(
-            HydroCoefficients(REFERENCE_ADDED_INERTIA, REFERENCE_DAMPING), alpha
-        ),
+        coefficients=AnalyticCoefficientSource(REFERENCE_ADDED_INERTIA, REFERENCE_DAMPING, alpha),
         transfer=ExcitationTransfer.constant(REFERENCE_GAMMA, eta),
         pto=PTOModel(REFERENCE_PTO_DAMPING, included_in_damping=True),
         integration=integration,
@@ -145,17 +141,14 @@ def _parse_run_config(data: dict, base_dir: str) -> RunConfig:
     if sources[0] == "analytic":
         a = _section(coeff_s, "analytic", "coefficients")
         coefficients = AnalyticCoefficientSource(
-            base=HydroCoefficients(
-                added_inertia=_number(a, "added_inertia_kg_m2", "coefficients.analytic"),
-                damping=_number(a, "damping_Nm_s_per_rad", "coefficients.analytic"),
-            ),
+            added_inertia=_number(a, "added_inertia_kg_m2", "coefficients.analytic"),
+            damping=_number(a, "damping_Nm_s_per_rad", "coefficients.analytic"),
             alpha=_number(a, "alpha", "coefficients.analytic"),
             eps=_number(a, "eps", "coefficients.analytic", 0.1),
         )
     else:
-        coefficients = TableCoefficientSource(
-            load_coefficient_table(os.path.join(base_dir, coeff_s["table_csv"])),
-            label=coeff_s["table_csv"],
+        coefficients = load_coefficient_table(
+            os.path.join(base_dir, coeff_s["table_csv"]), coeff_s["table_csv"]
         )
 
     xfer_s = _section(data, "transfer")

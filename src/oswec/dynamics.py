@@ -1,4 +1,4 @@
-"""Equations of motion: assembly, time integration, and frequency-domain oracle.
+"""Equations of motion: the system, time integration, and frequency-domain oracle.
 
 The dual-flap system is
 
@@ -8,7 +8,9 @@ The dual-flap system is
 per flap, with P = T0 exp(i phi) its complex torque phasor: the torque is
 T0 sin(w t + phi). The single-flap case drops the coupling terms.
 A pair is mirror-symmetric by construction: ``SystemMatrices`` holds one
-flap's inertia, damping and stiffness and the pair's two coupling values.
+flap's inertia, damping and stiffness and the pair's two coupling values,
+all as given; ``oswec.energy.Model.system_for`` builds them from a flap,
+its coefficient source and its PTO.
 So a pair is two independent oscillators, its in-phase and out-of-phase
 modes. Time integration steps the modes with
 fixed-step classical RK4 run to harmonic steady state.
@@ -34,7 +36,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidInputError, NumericalError
-from .hydro import FlapProperties, HydroCoefficients
 
 
 @dataclass(frozen=True)
@@ -88,19 +89,6 @@ class SystemMatrices:
         return (
             np.array([[m, ci], [ci, m]]), np.array([[c, cd], [cd, c]]), np.full(2, self.stiffness)
         )
-
-
-def assemble_system(
-    props: FlapProperties, coeffs: HydroCoefficients, dof: int
-) -> SystemMatrices:
-    """The system of one flap (dof = 1, the coupling terms ignored) or of a
-    pair of identical flaps coupled by the coefficients' coupling terms."""
-    if dof not in (1, 2):
-        raise InvalidInputError(f"dof must be 1 or 2, got {dof}")
-    coupling = (coeffs.coupling_inertia, coeffs.coupling_damping) if dof == 2 else None
-    return SystemMatrices(
-        props.inertia_dry + coeffs.added_inertia, coeffs.damping, props.stiffness, coupling
-    )
 
 
 @dataclass(frozen=True)
@@ -373,7 +361,8 @@ def integrate(
                         )
                         raise NumericalError(
                             f"state became non-finite at step {bad} (t={bad * dt:.3f} s); "
-                            "the system is likely unstable (negative effective damping)"
+                            "the system is unstable (negative effective damping) or its "
+                            "forcing is beyond the float range"
                         )
                 cycles = cycle + 1
                 if prev_rms is not None and cycles >= first:

@@ -20,7 +20,6 @@ from .dynamics import (
     ResponseMetrics,
     ResponseRecord,
     SystemMatrices,
-    assemble_system,
     integrate,
     response_metrics,
 )
@@ -34,7 +33,7 @@ from .forcing import (
     build_torque_scenario,
     build_wave_forcing,
 )
-from .hydro import Environment, FlapProperties, HydroCoefficients
+from .hydro import Environment, FlapProperties
 
 HOURS_PER_YEAR = 8766.0  # mean Gregorian year
 
@@ -45,7 +44,7 @@ class PTOModel:
 
     ``included_in_damping`` means C_pto is already part of the hydrodynamic
     damping C used by the dynamics (and must not exceed it); otherwise it is
-    added on top of C before assembling the system.
+    added on top of C by ``Model.system_for``.
     """
 
     damping: float
@@ -54,18 +53,6 @@ class PTOModel:
     def __post_init__(self):
         if not (math.isfinite(self.damping) and self.damping >= 0.0):
             raise InvalidInputError(f"PTO damping must be finite and >= 0, got {self.damping}")
-
-
-def effective_coefficients(coeffs: HydroCoefficients, pto: PTOModel) -> HydroCoefficients:
-    """Coefficients actually fed to the dynamics once the PTO is accounted for."""
-    if pto.included_in_damping:
-        if pto.damping > coeffs.damping:
-            raise InvalidInputError(
-                f"PTO damping {pto.damping:.4g} exceeds the system damping "
-                f"{coeffs.damping:.4g} it is supposed to be part of"
-            )
-        return coeffs
-    return replace(coeffs, damping=coeffs.damping + pto.damping)
 
 
 @dataclass(frozen=True)
@@ -80,11 +67,28 @@ class Model:
     integration: IntegrationConfig
 
     def system_for(self, period: float, distance: float, dual: bool) -> SystemMatrices:
+        """The system of a pair at ``distance`` or of one flap (``distance``
+        unused) at ``period``: the source's added inertia, damping and
+        coupling, the PTO damping added unless the source's damping includes
+        it (which it may then not exceed), and the dry flap."""
         if dual:
-            coeffs = self.coefficients.pair(period, distance, self.environment)
+            if not (math.isfinite(distance) and distance > 0.0):
+                raise InvalidInputError(f"distance must be positive and finite, got {distance}")
+            added_inertia, damping, coupling = self.coefficients.pair(
+                period, distance, self.environment
+            )
         else:
-            coeffs = self.coefficients.single(period, self.environment)
-        return assemble_system(self.flap, effective_coefficients(coeffs, self.pto), 2 if dual else 1)
+            added_inertia, damping, coupling = self.coefficients.single(period, self.environment)
+        if not self.pto.included_in_damping:
+            damping = damping + self.pto.damping
+        elif self.pto.damping > damping:
+            raise InvalidInputError(
+                f"PTO damping {self.pto.damping:.4g} exceeds the system damping "
+                f"{damping:.4g} it is supposed to be part of"
+            )
+        return SystemMatrices(
+            self.flap.inertia_dry + added_inertia, damping, self.flap.stiffness, coupling
+        )
 
 
 @dataclass(frozen=True)
@@ -164,7 +168,8 @@ def _simulate(model: Model, system: SystemMatrices, forcing: ForcingSpec) -> Cas
         if not np.isfinite(values).all():
             raise NumericalError(
                 f"{name} over the measure window is non-finite (cycles_used={record.cycles}); "
-                "the system is likely unstable (negative effective damping)"
+                "the system is unstable (negative effective damping) or its forcing is "
+                "beyond the float range"
             )
     return CaseResult(record, metrics, power)
 

@@ -1,15 +1,20 @@
-"""Wave kinematics and hydrodynamic coefficient provisioning.
+"""Wave kinematics and hydrodynamic coefficient sources.
 
-Linear dispersion (deep and finite depth), bilinear coefficient tables
-loaded from CSV, and an analytic decaying-oscillatory coupling kernel for
-self-contained runs where no tabulated coefficients are available.
+Linear dispersion (deep and finite depth) and two coefficient sources: a
+bilinear table loaded from CSV, and an analytic decaying-oscillatory
+coupling kernel for self-contained runs where no tabulated coefficients
+are available. A source answers ``single(period, env)`` and
+``pair(period, distance, env)`` with three numbers per flap,
+``(added_inertia, damping, coupling)``: ``coupling`` is the pair's
+(inertia, damping) coupling, ``None`` for one flap. The caller
+(``Model.system_for``) checks the distance and builds the system.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,32 +63,6 @@ class FlapProperties:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise InvalidInputError(f"{name} must be positive and finite, got {value}")
-
-
-@dataclass(frozen=True)
-class HydroCoefficients:
-    """Added inertia, damping, and symmetric cross-flap coupling terms.
-
-    Single-flap use keeps both coupling terms exactly zero. One value serves
-    both off-diagonal slots of the dual-flap system matrices.
-    """
-
-    added_inertia: float  # kg m^2
-    damping: float  # N m s/rad
-    coupling_inertia: float = 0.0  # kg m^2
-    coupling_damping: float = 0.0  # N m s/rad
-
-    def __post_init__(self):
-        for name in ("added_inertia", "damping", "coupling_inertia", "coupling_damping"):
-            if not math.isfinite(getattr(self, name)):
-                raise InvalidInputError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.added_inertia < 0.0:
-            raise InvalidInputError(f"added inertia must be >= 0, got {self.added_inertia}")
-        if not self.damping > 0.0:
-            raise InvalidInputError(f"damping must be positive, got {self.damping}")
-
-    def without_coupling(self) -> "HydroCoefficients":
-        return replace(self, coupling_inertia=0.0, coupling_damping=0.0)
 
 
 def wavelength_deep(period: float, env: Environment = Environment()) -> float:
@@ -180,20 +159,108 @@ def wavelength(period: float, env: Environment = Environment()) -> float:
     return 2.0 * math.pi / solve_dispersion(period, env)
 
 
-@dataclass(frozen=True)
-class CoefficientTable:
-    """Hydrodynamic coefficients tabulated on a (period, distance) grid.
+def analytic_coupling(
+    added_inertia: float,
+    damping: float,
+    distance: float,
+    wavenumber: float,
+    alpha: float,
+    eps: float = 0.1,
+) -> tuple[float, float]:
+    """Cross-flap coupling (inertia, damping) from a decaying oscillatory
+    kernel on the diagonal added inertia I_a and damping C:
 
-    Arrays are indexed ``[i_period, i_distance]``. Queries outside the grid
-    clamp to the nearest edge; there is no extrapolation.
+        Ia_lr = -alpha * I_a * sin(k*d) / sqrt(max(k*d, eps))
+        C_lr  = -alpha * C   * cos(k*d) / sqrt(max(k*d, eps))
+
+    Negative coupling damping at small k*d reduces the net in-phase damping,
+    so closely spaced flaps moving together respond more than an isolated
+    one. ``alpha`` in [0, 1] scales the interaction strength; alpha = 0
+    means isolated flaps.
+    """
+    if not 0.0 <= alpha <= 1.0:
+        raise InvalidInputError(f"coupling gain alpha must be in [0, 1], got {alpha}")
+    if not (math.isfinite(distance) and distance > 0.0):
+        raise InvalidInputError(f"distance must be positive and finite, got {distance}")
+    if not wavenumber > 0.0:
+        raise InvalidInputError(f"wavenumber must be positive, got {wavenumber}")
+    kd = wavenumber * distance
+    scale = alpha / math.sqrt(max(kd, eps))
+    return -scale * added_inertia * math.sin(kd), -scale * damping * math.cos(kd)
+
+
+@dataclass(frozen=True)
+class AnalyticCoefficientSource:
+    """Period-independent added inertia [kg m^2] and damping [N m s/rad] per
+    flap; a pair's coupling comes from the analytic kernel
+    (``analytic_coupling``) at the wavenumber of the requested period."""
+
+    added_inertia: float
+    damping: float
+    alpha: float
+    eps: float = 0.1
+
+    def __post_init__(self):
+        for name in ("added_inertia", "damping"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidInputError(f"{name} must be finite, got {getattr(self, name)}")
+        if self.added_inertia < 0.0:
+            raise InvalidInputError(f"added inertia must be >= 0, got {self.added_inertia}")
+        if not self.damping > 0.0:
+            raise InvalidInputError(f"damping must be positive, got {self.damping}")
+        if not 0.0 <= self.alpha <= 1.0:
+            raise InvalidInputError(f"coupling gain alpha must be in [0, 1], got {self.alpha}")
+        if not (math.isfinite(self.eps) and self.eps >= 0.0):
+            raise InvalidInputError(f"kernel floor eps must be finite and >= 0, got {self.eps}")
+
+    def single(self, period: float, env: Environment) -> tuple:
+        return self.added_inertia, self.damping, None
+
+    def pair(self, period: float, distance: float, env: Environment) -> tuple:
+        k = solve_dispersion(period, env, distance)
+        coupling = analytic_coupling(
+            self.added_inertia, self.damping, distance, k, self.alpha, self.eps
+        )
+        return self.added_inertia, self.damping, coupling
+
+    def describe(self) -> dict:
+        return {
+            "source": "analytic",
+            "added_inertia_kg_m2": self.added_inertia,
+            "damping_Nm_s_per_rad": self.damping,
+            "alpha": self.alpha,
+            "eps": self.eps,
+        }
+
+
+def _clamped_segment(grid: np.ndarray, x: float) -> tuple[int, int, float]:
+    """Index pair and interpolation fraction for x on a sorted grid, clamped."""
+    if grid.size == 1:
+        return 0, 0, 0.0
+    x = min(max(x, grid[0]), grid[-1])
+    i = int(np.searchsorted(grid, x, side="right")) - 1
+    i = min(max(i, 0), grid.size - 2)
+    t = (x - grid[i]) / (grid[i + 1] - grid[i])
+    return i, i + 1, t
+
+
+@dataclass(frozen=True)
+class TableCoefficientSource:
+    """Coefficients tabulated on a (period, distance) grid.
+
+    The four arrays are indexed ``[i_period, i_distance]`` and interpolated
+    bilinearly. Queries outside the grid clamp to the nearest edge; there is
+    no extrapolation. The single flap takes the diagonal values at the
+    largest tabulated distance (far-field isolation).
     """
 
     period_grid: np.ndarray  # s, strictly increasing
     distance_grid: np.ndarray  # m, strictly increasing
-    added_inertia: np.ndarray
-    damping: np.ndarray
-    coupling_inertia: np.ndarray
-    coupling_damping: np.ndarray
+    added_inertia: np.ndarray  # kg m^2
+    damping: np.ndarray  # N m s/rad
+    coupling_inertia: np.ndarray  # kg m^2
+    coupling_damping: np.ndarray  # N m s/rad
+    label: str = "table"
 
     def __post_init__(self):
         periods = np.asarray(self.period_grid, dtype=float)
@@ -219,37 +286,31 @@ class CoefficientTable:
         object.__setattr__(self, "period_grid", periods)
         object.__setattr__(self, "distance_grid", distances)
 
+    def _at(self, period: float, distance: float, fields: tuple) -> list:
+        """Bilinear interpolation of each array at (period, distance), clamped."""
+        i0, i1, tp = _clamped_segment(self.period_grid, period)
+        j0, j1, td = _clamped_segment(self.distance_grid, distance)
+        values = []
+        for arr in fields:
+            row0 = (1.0 - td) * arr[i0, j0] + td * arr[i0, j1]
+            row1 = (1.0 - td) * arr[i1, j0] + td * arr[i1, j1]
+            values.append((1.0 - tp) * row0 + tp * row1)
+        return values
 
-def _clamped_segment(grid: np.ndarray, x: float) -> tuple[int, int, float]:
-    """Index pair and interpolation fraction for x on a sorted grid, clamped."""
-    if grid.size == 1:
-        return 0, 0, 0.0
-    x = min(max(x, grid[0]), grid[-1])
-    i = int(np.searchsorted(grid, x, side="right")) - 1
-    i = min(max(i, 0), grid.size - 2)
-    t = (x - grid[i]) / (grid[i + 1] - grid[i])
-    return i, i + 1, t
+    def single(self, period: float, env: Environment) -> tuple:
+        far = float(self.distance_grid[-1])
+        return (*self._at(period, far, (self.added_inertia, self.damping)), None)
 
+    def pair(self, period: float, distance: float, env: Environment) -> tuple:
+        fields = (self.added_inertia, self.damping, self.coupling_inertia, self.coupling_damping)
+        added_inertia, damping, *coupling = self._at(period, distance, fields)
+        return added_inertia, damping, tuple(coupling)
 
-def coefficients_at(table: CoefficientTable, period: float, distance: float) -> HydroCoefficients:
-    """Bilinear interpolation of the table at (period, distance), clamped at edges."""
-    i0, i1, tp = _clamped_segment(table.period_grid, period)
-    j0, j1, td = _clamped_segment(table.distance_grid, distance)
-
-    def interp(arr):
-        row0 = (1.0 - td) * arr[i0, j0] + td * arr[i0, j1]
-        row1 = (1.0 - td) * arr[i1, j0] + td * arr[i1, j1]
-        return (1.0 - tp) * row0 + tp * row1
-
-    return HydroCoefficients(
-        added_inertia=interp(table.added_inertia),
-        damping=interp(table.damping),
-        coupling_inertia=interp(table.coupling_inertia),
-        coupling_damping=interp(table.coupling_damping),
-    )
+    def describe(self) -> dict:
+        return {"source": self.label}
 
 
-def load_coefficient_table(path) -> CoefficientTable:
+def load_coefficient_table(path, label: str = "table") -> TableCoefficientSource:
     """Load a coefficient table CSV: period_s,distance_m,Ia,C,Ia_lr,C_lr.
 
     One row per grid cell; the grids are inferred from the distinct period
@@ -280,96 +341,4 @@ def load_coefficient_table(path) -> CoefficientTable:
                 )
             for arr, v in zip(fields, cells[(p, d)]):
                 arr[i, j] = v
-    return CoefficientTable(periods, distances, *fields)
-
-
-def analytic_coupling(
-    base: HydroCoefficients,
-    distance: float,
-    wavenumber: float,
-    alpha: float,
-    eps: float = 0.1,
-) -> HydroCoefficients:
-    """Cross-flap coupling from a decaying oscillatory kernel.
-
-    The diagonal terms of ``base`` are kept; the coupling terms are
-
-        C_lr  = -alpha * C   * cos(k*d) / sqrt(max(k*d, eps))
-        Ia_lr = -alpha * I_a * sin(k*d) / sqrt(max(k*d, eps))
-
-    Negative coupling damping at small k*d reduces the net in-phase damping,
-    so closely spaced flaps moving together respond more than an isolated
-    one. ``alpha`` in [0, 1] scales the interaction strength; alpha = 0
-    means isolated flaps.
-    """
-    if not 0.0 <= alpha <= 1.0:
-        raise InvalidInputError(f"coupling gain alpha must be in [0, 1], got {alpha}")
-    if not (math.isfinite(distance) and distance > 0.0):
-        raise InvalidInputError(f"distance must be positive and finite, got {distance}")
-    if not wavenumber > 0.0:
-        raise InvalidInputError(f"wavenumber must be positive, got {wavenumber}")
-    kd = wavenumber * distance
-    scale = alpha / math.sqrt(max(kd, eps))
-    return replace(
-        base,
-        coupling_damping=-scale * base.damping * math.cos(kd),
-        coupling_inertia=-scale * base.added_inertia * math.sin(kd),
-    )
-
-
-@dataclass(frozen=True)
-class AnalyticCoefficientSource:
-    """Coefficient provider backed by the analytic coupling kernel.
-
-    ``base`` holds the (period-independent) diagonal added inertia and
-    damping; pair queries add coupling terms from the kernel at the
-    wavenumber of the requested period.
-    """
-
-    base: HydroCoefficients
-    alpha: float
-    eps: float = 0.1
-
-    def __post_init__(self):
-        if not 0.0 <= self.alpha <= 1.0:
-            raise InvalidInputError(f"coupling gain alpha must be in [0, 1], got {self.alpha}")
-        if not (math.isfinite(self.eps) and self.eps >= 0.0):
-            raise InvalidInputError(f"kernel floor eps must be finite and >= 0, got {self.eps}")
-
-    def single(self, period: float, env: Environment) -> HydroCoefficients:
-        return self.base.without_coupling()
-
-    def pair(self, period: float, distance: float, env: Environment) -> HydroCoefficients:
-        k = solve_dispersion(period, env, distance)
-        return analytic_coupling(self.base, distance, k, self.alpha, self.eps)
-
-    def describe(self) -> dict:
-        return {
-            "source": "analytic",
-            "added_inertia_kg_m2": self.base.added_inertia,
-            "damping_Nm_s_per_rad": self.base.damping,
-            "alpha": self.alpha,
-            "eps": self.eps,
-        }
-
-
-@dataclass(frozen=True)
-class TableCoefficientSource:
-    """Coefficient provider backed by a tabulated (period, distance) grid.
-
-    The single-flap coefficients are the diagonal entries at the largest
-    tabulated distance (far-field isolation) with coupling zeroed.
-    """
-
-    table: CoefficientTable
-    label: str = "table"
-
-    def single(self, period: float, env: Environment) -> HydroCoefficients:
-        far = float(self.table.distance_grid[-1])
-        return coefficients_at(self.table, period, far).without_coupling()
-
-    def pair(self, period: float, distance: float, env: Environment) -> HydroCoefficients:
-        return coefficients_at(self.table, period, distance)
-
-    def describe(self) -> dict:
-        return {"source": self.label}
+    return TableCoefficientSource(periods, distances, *fields, label=label)

@@ -7,7 +7,7 @@ from oswec.config import (
     REFERENCE_ADDED_INERTIA,
     REFERENCE_DAMPING,
 )
-from oswec.hydro import AnalyticCoefficientSource, HydroCoefficients
+from oswec.hydro import AnalyticCoefficientSource
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 
@@ -42,6 +42,6 @@ def strong_coupling():
     return replace(
         m,
         coefficients=AnalyticCoefficientSource(
-            HydroCoefficients(REFERENCE_ADDED_INERTIA, REFERENCE_DAMPING), alpha=0.3
+            REFERENCE_ADDED_INERTIA, REFERENCE_DAMPING, alpha=0.3
         ),
     )

@@ -152,19 +152,21 @@ def test_criterion_04_modal_mapping(model):
     worst = 0.0
     orderings = True
     for te in (7.5, 8.5, 9.5, 10.5):
-        coeffs = model.coefficients.pair(te, 10.0, env)
-        assert coeffs.coupling_damping < 0.0  # reference kernel at short spacing
+        added_inertia, damping, (coupling_inertia, coupling_damping) = model.coefficients.pair(
+            te, 10.0, env
+        )
+        assert coupling_damping < 0.0  # reference kernel at short spacing
         system = SystemMatrices(
-            flap.inertia_dry + coeffs.added_inertia,
-            coeffs.damping,
+            flap.inertia_dry + added_inertia,
+            damping,
             flap.stiffness,
-            (coeffs.coupling_inertia, coeffs.coupling_damping),
+            (coupling_inertia, coupling_damping),
         )
         omega = 2.0 * math.pi / te
         t0 = 0.6e6
         single = t0 / math.hypot(
-            flap.stiffness - (flap.inertia_dry + coeffs.added_inertia) * omega**2,
-            coeffs.damping * omega,
+            flap.stiffness - (flap.inertia_dry + added_inertia) * omega**2,
+            damping * omega,
         )
         for sign, phase_r in ((+1, 0.0), (-1, math.pi)):
             forcing = ForcingSpec(omega, (t0, cmath.rect(t0, phase_r)))
@@ -172,9 +174,8 @@ def test_criterion_04_modal_mapping(model):
             metrics = response_metrics(record)
             modal = t0 / math.hypot(
                 flap.stiffness
-                - (flap.inertia_dry + coeffs.added_inertia + sign * coeffs.coupling_inertia)
-                * omega**2,
-                (coeffs.damping + sign * coeffs.coupling_damping) * omega,
+                - (flap.inertia_dry + added_inertia + sign * coupling_inertia) * omega**2,
+                (damping + sign * coupling_damping) * omega,
             )
             for i in range(2):
                 worst = max(worst, abs(metrics.amplitude[i] - modal) / modal)

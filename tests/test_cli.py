@@ -141,6 +141,55 @@ class TestSimulate:
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert not out.exists()
 
+    @pytest.mark.parametrize("config", ["reference.json", "reference_table.json"])
+    @pytest.mark.parametrize(
+        "args, distance",
+        [
+            (["--scenario", "in-phase", "--T0", "1e6", "--d", "-5"], -5.0),
+            (["--scenario", "in-phase", "--T0", "1e6"], 0.0),
+            (["--wave", "--H", "1.75", "--d", "0"], 0.0),
+            (["--wave", "--H", "1.75", "--d", "-5"], -5.0),
+        ],
+        ids=["in-phase-negative", "in-phase-default", "wave-zero", "wave-negative"],
+    )
+    def test_pair_needs_a_positive_distance(
+        self, configs_dir, tmp_path, capsys, config, args, distance
+    ):
+        # both coefficient sources reject the distance itself, before any
+        # dispersion solve or table lookup
+        out = tmp_path / "bad"
+        code = main(
+            [str(configs_dir / config), "--out", str(out), "simulate", "--Te", "9.5", *args]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"oswec: configuration error: distance must be positive and finite, got {distance}\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("config", ["reference.json", "reference_table.json"])
+    @pytest.mark.parametrize(
+        "height, what",
+        [
+            ("1e160", "state became non-finite at step 1 (t=0.048 s)"),
+            ("1e153", "rotation RMS over the measure window is non-finite (cycles_used=20)"),
+        ],
+    )
+    def test_non_finite_response_names_both_causes(
+        self, configs_dir, tmp_path, capsys, config, height, what
+    ):
+        # a stable system (it settles at H = 1e150) whose squares overflow:
+        # the message may not blame the damping alone
+        out = tmp_path / "big"
+        code = main([str(configs_dir / config), "--out", str(out), "simulate", "--wave",
+                     "--H", height, "--Te", "9.5", "--d", "10"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"oswec: numerical error: {what}; the system is unstable (negative effective "
+            "damping) or its forcing is beyond the float range\n"
+        )
+        assert not out.exists()
+
     def test_non_steady_case_is_named_on_stderr(self, fast_config, tmp_path, capsys):
         # 12 periods, the least that covers ramp plus measure, is too few for
         # the drift to settle below tolerance

@@ -293,5 +293,5 @@ class TestCouplingToggle:
         assert isinstance(model.coefficients, AnalyticCoefficientSource)
         assert model.coefficients.alpha == 0.0
         assert model.transfer.eta == 0.0
-        coeffs = model.coefficients.pair(8.5, 10.0, model.environment)
-        assert coeffs.coupling_damping == 0.0 and coeffs.coupling_inertia == 0.0
+        _, _, coupling = model.coefficients.pair(8.5, 10.0, model.environment)
+        assert coupling == (0.0, 0.0)

@@ -15,7 +15,6 @@ from oswec.dynamics import (
     ResponseRecord,
     SystemMatrices,
     _rk4_mode,
-    assemble_system,
     dissipated_power,
     freq_domain_solve,
     harmonic_fit,
@@ -25,6 +24,7 @@ from oswec.dynamics import (
     response_metrics,
 )
 from oswec.config import reference_model
+from oswec.energy import PTOModel
 from oswec.errors import InvalidInputError, NumericalError
 from oswec.forcing import (
     Scenario,
@@ -33,7 +33,7 @@ from oswec.forcing import (
     build_torque_scenario,
     build_wave_forcing,
 )
-from oswec.hydro import FlapProperties, HydroCoefficients
+from oswec.hydro import FlapProperties, TableCoefficientSource
 
 PROPS = FlapProperties(inertia_dry=1.0e7, stiffness=4.375e6)
 
@@ -43,36 +43,37 @@ def scalar_amplitude(t0, inertia, damping, stiffness, omega):
     return t0 / math.hypot(stiffness - inertia * omega**2, damping * omega)
 
 
+def one_cell_model(added_inertia, damping, coupling=(0.0, 0.0)):
+    """A model of PROPS whose one-cell table gives these coefficients at
+    every period and distance, with a PTO of 0 counted in the damping."""
+    cells = [np.array([[x]]) for x in (added_inertia, damping, *coupling)]
+    source = TableCoefficientSource(np.array([9.5]), np.array([10.0]), *cells)
+    return replace(reference_model(), flap=PROPS, coefficients=source, pto=PTOModel(0.0))
+
+
 class TestAssemble:
     def test_single_dof_placement(self):
-        coeffs = HydroCoefficients(added_inertia=0.0, damping=1.0e6)
-        system = assemble_system(PROPS, coeffs, dof=1)
+        system = one_cell_model(0.0, 1.0e6).system_for(9.5, 10.0, dual=False)
         assert system == SystemMatrices(1.0e7, 1.0e6, 4.375e6)
         assert system.coupling is None and system.dof == 1
 
     def test_zero_coupling_is_block_diagonal(self):
-        coeffs = HydroCoefficients(added_inertia=2.0e6, damping=1.0e6)
-        system = assemble_system(PROPS, coeffs, dof=2)
+        system = one_cell_model(2.0e6, 1.0e6).system_for(9.5, 10.0, dual=True)
         assert system.coupling == (0.0, 0.0)
         inertia, damping, _ = system.matrices()
         assert inertia[0, 1] == damping[0, 1] == 0.0
 
     def test_symmetric_offdiagonals(self):
-        coeffs = HydroCoefficients(2.0e6, 1.0e6, coupling_inertia=-2.0e6, coupling_damping=-1.5e5)
-        system = assemble_system(PROPS, coeffs, dof=2)
+        system = one_cell_model(2.0e6, 1.0e6, (-2.0e6, -1.5e5)).system_for(9.5, 10.0, dual=True)
         assert system.coupling == (-2.0e6, -1.5e5)
         inertia, damping, _ = system.matrices()
         assert inertia[0, 1] == inertia[1, 0] == -2.0e6
         assert damping[0, 1] == damping[1, 0] == -1.5e5
 
     def test_non_positive_definite_inertia_rejected(self):
-        coeffs = HydroCoefficients(2.0e6, 1.0e6, coupling_inertia=-1.3e7)
+        model = one_cell_model(2.0e6, 1.0e6, (-1.3e7, 0.0))
         with pytest.raises(InvalidInputError, match="positive-definite"):
-            assemble_system(PROPS, coeffs, dof=2)
-
-    def test_bad_dof(self):
-        with pytest.raises(InvalidInputError):
-            assemble_system(PROPS, HydroCoefficients(0.0, 1.0), dof=3)
+            model.system_for(9.5, 10.0, dual=True)
 
 
 def reference_1dof():
@@ -112,8 +113,7 @@ class TestIntegrate:
         assert record.steady
 
     def test_symmetric_in_phase_flaps_identical(self):
-        coeffs = HydroCoefficients(2.0e6, 1.0e6, coupling_inertia=-5e5, coupling_damping=-2e5)
-        system = assemble_system(FlapProperties(8.0e6, 4.375e6), coeffs, dof=2)
+        system = SystemMatrices(1.0e7, 1.0e6, 4.375e6, (-5e5, -2e5))
         omega = 2.0 * math.pi / 8.5
         forcing = ForcingSpec(omega, (1.0e6, 1.0e6))
         record = integrate(system, forcing)
@@ -122,8 +122,7 @@ class TestIntegrate:
         )
 
     def test_fixed_flap_stays_zero(self):
-        coeffs = HydroCoefficients(2.0e6, 1.0e6, coupling_inertia=-5e5, coupling_damping=-2e5)
-        system = assemble_system(FlapProperties(8.0e6, 4.375e6), coeffs, dof=2)
+        system = SystemMatrices(1.0e7, 1.0e6, 4.375e6, (-5e5, -2e5))
         omega = 2.0 * math.pi / 8.5
         forcing = ForcingSpec(omega, (None, 1.0e6))
         record = integrate(system, forcing)
@@ -266,8 +265,7 @@ def stepped_rk4(system, forcing, cfg=IntegrationConfig()):
 
 
 def _coupled_pair():
-    coeffs = HydroCoefficients(2.0e6, 1.0e6, coupling_inertia=-5e5, coupling_damping=-2e5)
-    return assemble_system(FlapProperties(8.0e6, 4.375e6), coeffs, dof=2)
+    return SystemMatrices(1.0e7, 1.0e6, 4.375e6, (-5e5, -2e5))
 
 
 def _reference_flap_case():
@@ -599,8 +597,7 @@ class TestQuadraticFormFallback:
     def test_decoupled_flap_is_exactly_zero(self):
         # no coupling: the left flap is the in-phase mode plus the exactly
         # opposite out-of-phase mode, so its samples cancel completely
-        coeffs = HydroCoefficients(2.0e6, 1.0e6)
-        system = assemble_system(FlapProperties(8.0e6, 4.375e6), coeffs, dof=2)
+        system = SystemMatrices(1.0e7, 1.0e6, 4.375e6, (0.0, 0.0))
         forcing = ForcingSpec(self.OMEGA, (0.0, 1.0e6))
         _, _, cycles, steady, _ = stepped_rk4(system, forcing)
         record = integrate(system, forcing)
@@ -743,11 +740,7 @@ class TestFreqDomain:
         # 1-DOF system with the coupling terms added (subtracted)
         inertia, added, damping, stiffness = 8.0e6, 2.0e6, 1.0e6, 4.375e6
         ci, cd = -4.0e5, -3.0e5
-        system = assemble_system(
-            FlapProperties(inertia, stiffness),
-            HydroCoefficients(added, damping, coupling_inertia=ci, coupling_damping=cd),
-            dof=2,
-        )
+        system = SystemMatrices(inertia + added, damping, stiffness, (ci, cd))
         omega = 2.0 * math.pi / 8.5
         forcing = ForcingSpec(omega, (1.0e6, cmath.rect(1.0e6, phase_r)))
         theta = freq_domain_solve(system, forcing)
@@ -758,11 +751,7 @@ class TestFreqDomain:
         assert abs(theta[1]) == pytest.approx(expected, rel=1e-12)
 
     def test_fixed_flap_removed(self):
-        system = assemble_system(
-            FlapProperties(8.0e6, 4.375e6),
-            HydroCoefficients(2.0e6, 1.0e6, coupling_inertia=-4e5, coupling_damping=-3e5),
-            dof=2,
-        )
+        system = SystemMatrices(1.0e7, 1.0e6, 4.375e6, (-4e5, -3e5))
         omega = 0.7
         forcing = ForcingSpec(omega, (None, 1.0e6))
         theta = freq_domain_solve(system, forcing)
@@ -919,11 +908,7 @@ class TestOracleEquivalence:
 
     def test_energy_balance(self):
         cfg = IntegrationConfig()
-        system = assemble_system(
-            FlapProperties(8.0e6, 4.375e6),
-            HydroCoefficients(2.0e6, 1.0e6, coupling_inertia=-4e5, coupling_damping=-3e5),
-            dof=2,
-        )
+        system = SystemMatrices(1.0e7, 1.0e6, 4.375e6, (-4e5, -3e5))
         omega = 2.0 * math.pi / 8.5
         forcing = ForcingSpec(omega, (cmath.rect(1.0e6, 0.2), cmath.rect(0.7e6, -1.1)))
         record = integrate(system, forcing, cfg)

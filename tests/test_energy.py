@@ -1,4 +1,7 @@
+import bisect
 import math
+import pathlib
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oswec.energy as energy_mod
-from oswec.config import with_coupling_disabled
+from oswec.config import load_run_config, reference_model, with_coupling_disabled
 from oswec.dynamics import (
     ForcingSpec,
     IntegrationConfig,
@@ -24,7 +27,6 @@ from oswec.energy import (
     PTOModel,
     annual_energy,
     compute_power_matrix,
-    effective_coefficients,
     failure_text,
     load_jpd,
     mean_power,
@@ -35,7 +37,14 @@ from oswec.energy import (
 )
 from oswec.errors import InvalidInputError, NumericalError, format_number
 from oswec.forcing import Scenario, TorqueScenario, WaveCondition, build_wave_forcing
-from oswec.hydro import HydroCoefficients
+from oswec.hydro import (
+    AnalyticCoefficientSource,
+    Environment,
+    load_coefficient_table,
+    solve_dispersion,
+)
+
+REPO = pathlib.Path(__file__).resolve().parents[1]
 
 
 def synthetic_record(omega, velocity_amp, periods=20, steps=200):
@@ -82,21 +91,96 @@ class TestRecordWindow:
 
 
 class TestPTO:
-    def test_included_share_must_fit(self):
-        coeffs = HydroCoefficients(2.0e6, 1.0e6)
-        pto = PTOModel(0.5e6, included_in_damping=True)
-        assert effective_coefficients(coeffs, pto) == coeffs
-        with pytest.raises(InvalidInputError, match="exceeds"):
-            effective_coefficients(coeffs, PTOModel(2.0e6, included_in_damping=True))
+    def test_included_share_must_fit(self, reference):
+        model = replace(reference, pto=PTOModel(0.5e6, included_in_damping=True))
+        for dual in (False, True):
+            assert model.system_for(8.5, 10.0, dual).damping == 1.0e6
+        model = replace(reference, pto=PTOModel(2.0e6, included_in_damping=True))
+        message = "PTO damping 2e+06 exceeds the system damping 1e+06 it is supposed to be part of"
+        for dual in (False, True):
+            with pytest.raises(InvalidInputError, match=re.escape(message)):
+                model.system_for(8.5, 10.0, dual)
 
-    def test_external_pto_adds_damping(self):
-        coeffs = HydroCoefficients(2.0e6, 1.0e6)
-        out = effective_coefficients(coeffs, PTOModel(0.5e6, included_in_damping=False))
-        assert out.damping == 1.5e6
+    def test_external_pto_adds_damping(self, reference):
+        model = replace(reference, pto=PTOModel(0.5e6, included_in_damping=False))
+        for dual in (False, True):
+            assert model.system_for(8.5, 10.0, dual).damping == 1.5e6
 
     def test_negative_damping_rejected(self):
         with pytest.raises(InvalidInputError):
             PTOModel(-1.0)
+
+
+SAMPLE_TABLE = load_coefficient_table(REPO / "data" / "sample_coefficients.csv")
+
+
+def _segment(grid, x):
+    """Lower index and fraction of x on a sorted grid, x clamped to it."""
+    x = min(max(x, grid[0]), grid[-1])
+    i = min(bisect.bisect_right(grid, x) - 1, len(grid) - 2)
+    return i, (x - grid[i]) / (grid[i + 1] - grid[i])
+
+
+def _bilinear(table, name, period, distance):
+    i, tp = _segment(table.period_grid.tolist(), period)
+    j, td = _segment(table.distance_grid.tolist(), distance)
+    v = getattr(table, name).tolist()
+    row0 = (1.0 - td) * v[i][j] + td * v[i][j + 1]
+    row1 = (1.0 - td) * v[i + 1][j] + td * v[i + 1][j + 1]
+    return (1.0 - tp) * row0 + tp * row1
+
+
+class TestSystemFor:
+    @given(
+        table=st.booleans(),
+        dual=st.booleans(),
+        included=st.booleans(),
+        period=st.floats(min_value=5.0, max_value=14.0),
+        distance=st.floats(min_value=1.0, max_value=120.0),
+        alpha=st.floats(min_value=0.0, max_value=1.0),
+        pto_damping=st.floats(min_value=0.0, max_value=1.0e6),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_written_out_formula(
+        self, table, dual, included, period, distance, alpha, pto_damping
+    ):
+        # periods and distances reach past the table's grid, where it clamps
+        ia, c, eps = 2.0e6, 1.0e6, 0.1
+        if table:
+            source = SAMPLE_TABLE
+            far = SAMPLE_TABLE.distance_grid[-1]
+            d = distance if dual else far
+            ia, c = (
+                _bilinear(SAMPLE_TABLE, name, period, d) for name in ("added_inertia", "damping")
+            )
+            coupling = tuple(
+                _bilinear(SAMPLE_TABLE, name, period, distance)
+                for name in ("coupling_inertia", "coupling_damping")
+            )
+        else:
+            source = AnalyticCoefficientSource(ia, c, alpha, eps)
+            kd = solve_dispersion(period, Environment()) * distance
+            scale = alpha / math.sqrt(max(kd, eps))
+            coupling = (-scale * ia * math.sin(kd), -scale * c * math.cos(kd))
+        model = replace(
+            reference_model(), coefficients=source, pto=PTOModel(pto_damping, included)
+        )
+        system = model.system_for(period, distance, dual)
+        flap = model.flap
+        expected = [flap.inertia_dry + ia, c if included else c + pto_damping, flap.stiffness]
+        if dual:
+            expected += coupling
+        got = [system.inertia, system.damping, system.stiffness, *(system.coupling or ())]
+        assert [x.hex() for x in got] == [float(x).hex() for x in expected]
+
+    @pytest.mark.parametrize("config", ["reference.json", "reference_table.json"])
+    @pytest.mark.parametrize("distance", [0.0, -0.0, -5.0, math.inf, -math.inf, math.nan])
+    def test_pair_distance_must_be_positive_and_finite(self, configs_dir, config, distance):
+        model = load_run_config(configs_dir / config).model
+        message = f"distance must be positive and finite, got {distance}"
+        with pytest.raises(InvalidInputError, match=re.escape(message)):
+            model.system_for(9.5, distance, dual=True)
+        assert model.system_for(9.5, distance, dual=False).coupling is None
 
 
 class TestDesign:

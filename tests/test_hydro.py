@@ -9,13 +9,10 @@ from hypothesis import strategies as st
 from oswec.errors import InvalidInputError
 from oswec.hydro import (
     AnalyticCoefficientSource,
-    CoefficientTable,
     Environment,
     FlapProperties,
-    HydroCoefficients,
     TableCoefficientSource,
     analytic_coupling,
-    coefficients_at,
     load_coefficient_table,
     solve_dispersion,
     wavelength,
@@ -138,15 +135,18 @@ class TestExtremePeriods:
     def test_infinite_distance_is_left_to_its_caller(self):
         assert solve_dispersion(8.5, Environment(), math.inf) == solve_dispersion(8.5)
         with pytest.raises(InvalidInputError, match="distance must be positive and finite"):
-            AnalyticCoefficientSource(HydroCoefficients(2e6, 1e6), 0.3).pair(
+            AnalyticCoefficientSource(2e6, 1e6, 0.3).pair(
                 8.5, math.inf, Environment()
             )
+
+
+ENV = Environment()
 
 
 def small_table():
     periods = np.array([8.0, 10.0])
     distances = np.array([10.0, 50.0])
-    return CoefficientTable(
+    return TableCoefficientSource(
         period_grid=periods,
         distance_grid=distances,
         added_inertia=np.array([[1.0e6, 2.0e6], [3.0e6, 4.0e6]]),
@@ -158,47 +158,50 @@ def small_table():
 
 class TestCoefficientTable:
     def test_node_identity(self):
-        c = coefficients_at(small_table(), 10.0, 50.0)
-        assert c.added_inertia == 4.0e6
-        assert c.damping == 4.0e5
-        assert c.coupling_inertia == -4.0e4
-        assert c.coupling_damping == -4.0e3
+        assert small_table().pair(10.0, 50.0, ENV) == (4.0e6, 4.0e5, (-4.0e4, -4.0e3))
 
     def test_midpoint_mean(self):
-        c = coefficients_at(small_table(), 9.0, 10.0)
-        assert c.added_inertia == pytest.approx(0.5 * (1.0e6 + 3.0e6), rel=1e-15)
-        assert c.damping == pytest.approx(0.5 * (1.0e5 + 3.0e5), rel=1e-15)
+        added_inertia, damping, _ = small_table().pair(9.0, 10.0, ENV)
+        assert added_inertia == pytest.approx(0.5 * (1.0e6 + 3.0e6), rel=1e-15)
+        assert damping == pytest.approx(0.5 * (1.0e5 + 3.0e5), rel=1e-15)
 
     def test_clamps_beyond_edges(self):
         table = small_table()
-        far = coefficients_at(table, 10.0, 500.0)
-        edge = coefficients_at(table, 10.0, 50.0)
-        assert far == edge
-        near = coefficients_at(table, 1.0, 10.0)
-        assert near == coefficients_at(table, 8.0, 10.0)
+        assert table.pair(10.0, 500.0, ENV) == table.pair(10.0, 50.0, ENV)
+        assert table.pair(1.0, 10.0, ENV) == table.pair(8.0, 10.0, ENV)
 
     def test_monotone_along_axes(self):
         table = small_table()
-        values = [coefficients_at(table, 8.0, d).added_inertia for d in (10, 20, 30, 40, 50)]
+        values = [table.pair(8.0, d, ENV)[0] for d in (10, 20, 30, 40, 50)]
         assert all(b >= a for a, b in zip(values, values[1:]))
 
     def test_validation(self):
-        with pytest.raises(InvalidInputError):
-            CoefficientTable(
+        with pytest.raises(InvalidInputError, match="at least one grid point"):
+            TableCoefficientSource(
                 np.array([]), np.array([10.0]), *[np.zeros((0, 1))] * 4
             )
-        with pytest.raises(InvalidInputError):
-            CoefficientTable(
+        with pytest.raises(InvalidInputError, match="strictly increasing"):
+            TableCoefficientSource(
                 np.array([8.0, 8.0]),
                 np.array([10.0]),
                 *[np.ones((2, 1))] * 4,
             )
-        with pytest.raises(InvalidInputError):
-            CoefficientTable(
+        with pytest.raises(InvalidInputError, match="added inertia must be >= 0"):
+            TableCoefficientSource(
                 np.array([8.0]),
                 np.array([10.0]),
                 np.array([[-1.0]]),
                 np.array([[1.0]]),
+                np.array([[0.0]]),
+                np.array([[0.0]]),
+            )
+        shape = r"field damping has shape \(1, 2\), expected \(1, 1\)"
+        with pytest.raises(InvalidInputError, match=shape):
+            TableCoefficientSource(
+                np.array([8.0]),
+                np.array([10.0]),
+                np.array([[1.0]]),
+                np.array([[1.0, 1.0]]),
                 np.array([[0.0]]),
                 np.array([[0.0]]),
             )
@@ -216,8 +219,9 @@ class TestTableLoader:
         )
         table = load_coefficient_table(path)
         assert list(table.period_grid) == [8.0, 10.0]
-        assert coefficients_at(table, 8.0, 50.0).added_inertia == 2e6
-
+        assert table.pair(8.0, 50.0, ENV) == (2e6, 2e5, (-2e4, -2e3))
+        assert table.describe() == {"source": "table"}
+        assert load_coefficient_table(path, "coeffs.csv").describe() == {"source": "coeffs.csv"}
     def test_missing_cell(self, tmp_path):
         path = tmp_path / "coeffs.csv"
         path.write_text(
@@ -251,30 +255,27 @@ class TestTableLoader:
         assert table.distance_grid.size == 4
 
 
-BASE = HydroCoefficients(added_inertia=2.0e6, damping=1.0e6)
+IA, C = 2.0e6, 1.0e6  # the reference added inertia and damping
 
 
 class TestAnalyticCoupling:
     def test_zero_alpha_isolates(self):
-        c = analytic_coupling(BASE, 10.0, 0.06, alpha=0.0)
-        assert c.coupling_damping == 0.0
-        assert c.coupling_inertia == 0.0
-        assert c.damping == BASE.damping
+        assert analytic_coupling(IA, C, 10.0, 0.06, alpha=0.0) == (0.0, 0.0)
 
     def test_kd_two_pi(self):
         # k*d = 2*pi puts the damping kernel at its negative-cosine extreme
         kd = 2.0 * math.pi
-        c = analytic_coupling(BASE, 100.0, kd / 100.0, alpha=0.3)
-        assert c.coupling_damping == pytest.approx(-0.3 * BASE.damping / math.sqrt(kd), rel=1e-12)
-        assert c.coupling_inertia == pytest.approx(0.0, abs=1e-9 * BASE.added_inertia)
+        coupling_inertia, coupling_damping = analytic_coupling(IA, C, 100.0, kd / 100.0, alpha=0.3)
+        assert coupling_damping == pytest.approx(-0.3 * C / math.sqrt(kd), rel=1e-12)
+        assert coupling_inertia == pytest.approx(0.0, abs=1e-9 * IA)
 
     def test_short_distance_boosts_in_phase(self):
         # d=10 m, T=8.5 s: negative coupling damping lowers the in-phase
         # denominator of the 1-DOF modal formula, so the in-phase amplitude
         # beats the single flap (checked with the scalar formula directly)
         k = solve_dispersion(8.5, Environment())
-        c = analytic_coupling(BASE, 10.0, k, alpha=0.3)
-        assert c.coupling_damping < 0.0
+        coupling_inertia, coupling_damping = analytic_coupling(IA, C, 10.0, k, alpha=0.3)
+        assert coupling_damping < 0.0
 
         inertia, stiffness = 8.0e6, 4.375e6
         omega = 2.0 * math.pi / 8.5
@@ -282,23 +283,20 @@ class TestAnalyticCoupling:
         def amp(total_inertia, damping):
             return 1.0 / math.hypot(stiffness - total_inertia * omega**2, damping * omega)
 
-        single = amp(inertia + BASE.added_inertia, BASE.damping)
-        in_phase = amp(
-            inertia + BASE.added_inertia + c.coupling_inertia,
-            BASE.damping + c.coupling_damping,
-        )
+        single = amp(inertia + IA, C)
+        in_phase = amp(inertia + IA + coupling_inertia, C + coupling_damping)
         assert in_phase > single
 
     def test_alpha_out_of_range(self):
         for alpha in (-0.1, 1.5):
-            with pytest.raises(InvalidInputError):
-                analytic_coupling(BASE, 10.0, 0.06, alpha=alpha)
+            with pytest.raises(InvalidInputError, match="alpha must be in"):
+                analytic_coupling(IA, C, 10.0, 0.06, alpha=alpha)
 
     def test_invalid_geometry(self):
-        with pytest.raises(InvalidInputError):
-            analytic_coupling(BASE, -1.0, 0.06, alpha=0.3)
-        with pytest.raises(InvalidInputError):
-            analytic_coupling(BASE, 10.0, 0.0, alpha=0.3)
+        with pytest.raises(InvalidInputError, match="distance must be positive and finite"):
+            analytic_coupling(IA, C, -1.0, 0.06, alpha=0.3)
+        with pytest.raises(InvalidInputError, match="wavenumber must be positive"):
+            analytic_coupling(IA, C, 10.0, 0.0, alpha=0.3)
 
     @given(
         kd=st.floats(min_value=0.01, max_value=50.0),
@@ -307,11 +305,11 @@ class TestAnalyticCoupling:
     )
     @settings(max_examples=200, deadline=None)
     def test_kernel_envelope(self, kd, alpha):
-        c = analytic_coupling(BASE, kd / 0.05, 0.05, alpha=alpha)
-        envelope = alpha * BASE.damping / math.sqrt(max(kd, 0.1))
-        assert abs(c.coupling_damping) <= envelope * (1.0 + 1e-12)
-        envelope_i = alpha * BASE.added_inertia / math.sqrt(max(kd, 0.1))
-        assert abs(c.coupling_inertia) <= envelope_i * (1.0 + 1e-12)
+        coupling_inertia, coupling_damping = analytic_coupling(IA, C, kd / 0.05, 0.05, alpha=alpha)
+        envelope = alpha * C / math.sqrt(max(kd, 0.1))
+        assert abs(coupling_damping) <= envelope * (1.0 + 1e-12)
+        envelope_i = alpha * IA / math.sqrt(max(kd, 0.1))
+        assert abs(coupling_inertia) <= envelope_i * (1.0 + 1e-12)
 
     @given(n=st.integers(min_value=1, max_value=6), factor=st.floats(min_value=1.001, max_value=20.0))
     @settings(max_examples=100, deadline=None)
@@ -321,36 +319,44 @@ class TestAnalyticCoupling:
         k = 0.05
         d1 = n * math.pi / k
         d2 = d1 * factor
-        c1 = analytic_coupling(BASE, d1, k, alpha=0.3)
-        c2 = analytic_coupling(BASE, d2, k, alpha=0.3)
-        assert abs(c2.coupling_damping) <= abs(c1.coupling_damping) * math.sqrt(d1 / d2) * (
-            1.0 + 1e-12
-        )
+        _, c1 = analytic_coupling(IA, C, d1, k, alpha=0.3)
+        _, c2 = analytic_coupling(IA, C, d2, k, alpha=0.3)
+        assert abs(c2) <= abs(c1) * math.sqrt(d1 / d2) * (1.0 + 1e-12)
 
 
 class TestCoefficientSources:
     def test_analytic_single_has_no_coupling(self):
-        source = AnalyticCoefficientSource(BASE, alpha=0.3)
-        c = source.single(8.5, Environment())
-        assert c.coupling_damping == 0.0 and c.coupling_inertia == 0.0
-        assert c.damping == BASE.damping
+        source = AnalyticCoefficientSource(IA, C, alpha=0.3)
+        assert source.single(8.5, Environment()) == (IA, C, None)
 
     def test_analytic_pair_matches_kernel(self):
         env = Environment()
-        source = AnalyticCoefficientSource(BASE, alpha=0.3)
+        source = AnalyticCoefficientSource(IA, C, alpha=0.3)
         k = solve_dispersion(8.5, env)
-        assert source.pair(8.5, 10.0, env) == analytic_coupling(BASE, 10.0, k, 0.3)
+        assert source.pair(8.5, 10.0, env) == (IA, C, analytic_coupling(IA, C, 10.0, k, 0.3))
 
     def test_table_single_uses_far_field(self):
-        source = TableCoefficientSource(small_table())
-        c = source.single(8.0, Environment())
-        assert c.added_inertia == 2.0e6  # value at the 50 m edge
-        assert c.coupling_damping == 0.0
+        # the diagonal values at the 50 m edge, without coupling
+        assert small_table().single(8.0, Environment()) == (2.0e6, 2.0e5, None)
 
     def test_flap_properties_validation(self):
         with pytest.raises(InvalidInputError):
             FlapProperties(inertia_dry=-1.0, stiffness=1.0)
         with pytest.raises(InvalidInputError):
             FlapProperties(inertia_dry=1.0, stiffness=0.0)
-        with pytest.raises(InvalidInputError):
-            HydroCoefficients(added_inertia=1.0, damping=0.0)
+        with pytest.raises(InvalidInputError, match="damping must be positive, got 0.0"):
+            AnalyticCoefficientSource(1.0, 0.0, alpha=0.3)
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ((-1.0, C, 0.3), "added inertia must be >= 0, got -1.0"),
+            ((math.inf, C, 0.3), "added_inertia must be finite, got inf"),
+            ((IA, math.nan, 0.3), "damping must be finite, got nan"),
+            ((IA, C, 1.5), "coupling gain alpha must be in [0, 1], got 1.5"),
+            ((IA, C, 0.3, -1.0), "kernel floor eps must be finite and >= 0, got -1.0"),
+        ],
+    )
+    def test_analytic_source_validation(self, values, message):
+        with pytest.raises(InvalidInputError, match=re.escape(message)):
+            AnalyticCoefficientSource(*values)

@@ -1,4 +1,5 @@
 import csv
+import importlib.util
 import subprocess
 import sys
 
@@ -57,3 +58,19 @@ def test_study_script_smoke(repo_root, tmp_path, name):
     assert line in proc.stdout
     with open(tmp_path / f"sweep_{study}.csv", newline="") as fh:
         assert sum(1 for _ in fh) == 2 + rows
+
+
+def test_sample_data_generator_reproduces_data(repo_root, data_dir, tmp_path):
+    spec = importlib.util.spec_from_file_location(
+        "generate_sample_data", repo_root / "scripts" / "generate_sample_data.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    module.DATA = tmp_path
+    module.write_jpd()
+    module.write_coefficient_table()
+    module.write_transfer_table()
+    names = ["sample_coefficients.csv", "sample_jpd.csv", "sample_transfer.csv"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == names
+    for name in names:
+        assert (tmp_path / name).read_bytes() == (data_dir / name).read_bytes(), name
