@@ -121,8 +121,8 @@ class ExcitationTransfer:
 
     ``eta`` sets how strongly the front flap shades the back one: the
     back-flap amplitude is scaled by tau = 1 - eta * exp(-d/lambda), so the
-    front/back forcing gap eta*exp(-d/lambda) fades with distance. d = 0
-    means coincident flaps and gets tau = 1 exactly.
+    front/back forcing gap eta*exp(-d/lambda) fades with distance. As for
+    every pair, d must be positive and finite.
     """
 
     period_grid: np.ndarray  # s
@@ -155,10 +155,8 @@ class ExcitationTransfer:
 
     def transmission(self, distance: float, wavelength: float) -> float:
         """Back-flap amplitude factor tau(d) in (0, 1]."""
-        if distance < 0.0:
-            raise InvalidInputError(f"distance must be >= 0, got {distance}")
-        if distance == 0.0:
-            return 1.0
+        if not (math.isfinite(distance) and distance > 0.0):
+            raise InvalidInputError(f"distance must be positive and finite, got {distance}")
         return 1.0 - self.eta * math.exp(-distance / wavelength)
 
     def describe(self) -> dict:
@@ -196,8 +194,8 @@ def build_wave_forcing(
     the effective separation along propagation is d * cos(beta). A wave
     whose torque overflows the float range is an InvalidInputError.
     """
-    if not (math.isfinite(distance) and distance >= 0.0):
-        raise InvalidInputError(f"distance must be finite and >= 0, got {distance}")
+    if not (math.isfinite(distance) and distance > 0.0):
+        raise InvalidInputError(f"distance must be positive and finite, got {distance}")
     omega = 2.0 * math.pi / wave.period
     k = solve_dispersion(wave.period, env, distance)
     lam = 2.0 * math.pi / k

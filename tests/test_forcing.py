@@ -114,11 +114,11 @@ class TestTorqueScenarios:
 
 class TestWaveForcing:
     def test_coincident_flaps(self):
-        f = build_wave_forcing(WaveCondition(1.75, 8.5), 0.0, XFER, ENV)
-        expected = (1.0e6 / 0.875) * 0.875
-        assert f.torques[0] == pytest.approx(expected, rel=1e-12)
-        assert f.torques[1] == f.torques[0]
-        assert f.torques[0].imag == f.torques[1].imag == 0.0
+        # a pair needs a positive, finite distance: coincident flaps are not a pair
+        for distance in (0.0, -0.0, math.inf, math.nan):
+            message = f"distance must be positive and finite, got {distance}"
+            with pytest.raises(InvalidInputError, match=re.escape(message)):
+                build_wave_forcing(WaveCondition(1.75, 8.5), distance, XFER, ENV)
 
     def test_back_flap_phase_law(self):
         f = build_wave_forcing(WaveCondition(1.75, 8.5), 55.0, XFER, ENV)
@@ -172,13 +172,9 @@ class TestWaveForcing:
         assert abs(f_hi.torques[0]) < abs(f_lo.torques[0])
 
     def test_back_amplitude_never_exceeds_front(self):
-        for d in (0.0, 5.0, 10.0, 45.0, 86.0, 300.0):
+        for d in (5.0, 10.0, 45.0, 86.0, 300.0):
             f = build_wave_forcing(WaveCondition(1.75, 8.5), d, XFER, ENV)
-            assert abs(f.torques[1]) <= abs(f.torques[0])
-            if d == 0.0:
-                assert abs(f.torques[1]) == abs(f.torques[0])
-            else:
-                assert abs(f.torques[1]) < abs(f.torques[0])
+            assert abs(f.torques[1]) < abs(f.torques[0])
 
     def test_forcing_gap_fades_with_distance(self):
         lam = wavelength_deep(8.5)
@@ -243,6 +239,9 @@ class TestTransfer:
 
     def test_transmission_bounds(self):
         lam = wavelength_deep(8.5)
-        assert XFER.transmission(0.0, lam) == 1.0
+        for d in (0.0, -1.0, math.inf, math.nan):
+            message = f"distance must be positive and finite, got {d}"
+            with pytest.raises(InvalidInputError, match=re.escape(message)):
+                XFER.transmission(d, lam)
         for d in (1.0, 50.0, 500.0):
             assert 0.0 < XFER.transmission(d, lam) < 1.0

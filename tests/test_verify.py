@@ -1,3 +1,6 @@
+import math
+import random
+
 import numpy as np
 import pytest
 
@@ -59,8 +62,6 @@ def test_report_lists_properties():
 
 
 def test_zero_amplitude_case_trivially_passes():
-    import math
-
     from oswec.dynamics import (
         ForcingSpec,
         SystemMatrices,
@@ -111,17 +112,40 @@ SEED0_PARAMS = [
 
 
 def test_random_systems_keep_their_draws():
-    rng = np.random.default_rng(0)
+    rng = verify_mod._SeededStream(0)
     for expected in SEED0_PARAMS:
         system, forcing, params = verify_mod._random_case(rng)
         assert list(params) == list(expected)
         assert system.dof == forcing.dof == params["dof"]
         for key, value in expected.items():
-            assert params[key] == pytest.approx(value, rel=1e-12), key
+            assert params[key] == value, key
+
+
+@pytest.mark.parametrize(
+    "seed",
+    [*range(51), 2**32, 2**64, 10**100, random.Random(30).getrandbits(3000)],
+    ids=lambda seed: str(seed) if seed < 2**64 else f"{seed.bit_length()}-bit",
+)
+def test_seeded_stream_is_numpys_default_rng(seed):
+    ours, numpys = verify_mod._SeededStream(seed), np.random.default_rng(seed)
+    for _ in range(8):
+        assert ours.random() == numpys.random()
+        assert ours.uniform(6.0, 7.3) == numpys.uniform(6.0, 7.3)
+        assert ours.uniform(-0.4, 0.4) == numpys.uniform(-0.4, 0.4)
+        for size in (1, 2):
+            assert ours.uniform(1e5, 2e6, size=size) == numpys.uniform(1e5, 2e6, size=size).tolist()
+            assert ours.uniform(-math.pi, math.pi, size=size) == (
+                numpys.uniform(-math.pi, math.pi, size=size).tolist()
+            )
+
+
+def test_seeded_stream_rejects_a_negative_seed():
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        verify_mod._SeededStream(-1)
 
 
 def test_case_parameters_are_plain_python_numbers(monkeypatch):
-    rng = np.random.default_rng(0)
+    rng = verify_mod._SeededStream(0)
     for _ in range(20):
         _, _, params = verify_mod._random_case(rng)
         for key, value in params.items():
