@@ -12,17 +12,16 @@ flap's inertia, damping and stiffness and the pair's two coupling values,
 all as given; ``oswec.energy.Model.system_for`` builds them from a flap,
 its coefficient source and its PTO.
 So a pair is two independent oscillators, its in-phase and out-of-phase
-modes. Time integration steps the modes with
-fixed-step classical RK4 run to harmonic steady state.
-The system is linear and time-invariant and its forcing repeats exactly
-every ``steps_per_period`` steps, so one RK4 step is the affine map
-y <- P y + Im(Q exp(i w t)). Carrying the forcing as a rotating pair
-(cos w t, sin w t) in the state makes it one real linear map, whose powers,
-built by one real recurrence per call, give every sample of a forcing
-period as an affine map of its start state. A period then costs one 4x4
-map of its start state; per block of periods, one array product writes
-every sample into the record (the same samples as stepping, up to
-rounding), and the convergence test reads each period's RMS from them.
+modes. Time integration steps the modes with fixed-step classical RK4 run
+to harmonic steady state. The system is linear and time-invariant and its
+forcing repeats exactly every ``steps_per_period`` steps, so one RK4 step
+is the affine map y <- P y + Im(Q exp(i w t)). Carrying the forcing as a
+rotating pair (cos w t, sin w t) in the state makes it one real linear
+map, whose powers give every sample of a forcing period as an affine map
+of its start state. The one-period map fixes in closed form the period by
+which the transient has decayed (``settle_cycle``), so the run's length is
+known before it starts, and one array product writes every sample into
+the record (the same samples as stepping, up to rounding).
 ``freq_domain_solve`` solves the physical system with a harmonic ansatz and
 serves as an independent oracle for the integrator.
 """
@@ -133,7 +132,9 @@ class ForcingSpec:
 
 @dataclass(frozen=True)
 class IntegrationConfig:
-    """Fixed-step RK4 settings and steady-state detection thresholds."""
+    """Fixed-step RK4 settings and the steady-state rule: a run is steady
+    from the first cycle >= ramp_periods at which each mode's transient is
+    at most convergence_tol of its steady orbit (``settle_cycle``)."""
 
     steps_per_period: int = 200
     ramp_periods: int = 10
@@ -161,7 +162,7 @@ class ResponseRecord:
     """Uniformly sampled rotation/velocity series for every flap.
 
     A fixed flap's columns are identically zero. ``steady`` is False when
-    the per-cycle RMS drift never dropped below the configured tolerance.
+    no settle cycle leaves room for the measure window within max_periods.
     ``window`` is the sample slice of the final measure periods, the one
     every steady-state reduction averages over; ``integrate`` runs at least
     ramp plus measure periods, so the window lies inside the record.
@@ -218,58 +219,84 @@ def _rk4_mode(h: float, a: float, b: float, g: complex, z: complex) -> tuple:
     return ((p00, p01), (p10, p11)), q
 
 
+def _mode_maps(cycle: np.ndarray) -> list[tuple]:
+    """Each mode's (a, b, c, e, s, t), P^N = [[a, b], [c, e]] and S_N = (s, t),
+    in Python floats from the modes' [P^N | S_N] (mode i in rows i and
+    nf + i); a lone flap's second mode is the zero map, which stays at rest."""
+    nf = cycle.shape[0] // 2
+    rows = enumerate(zip(cycle[:nf].tolist(), cycle[nf:].tolist()))
+    maps = [(x[i], x[nf + i], v[i], v[nf + i], x[-1], v[-1]) for i, (x, v) in rows]
+    return maps + [(0.0,) * 6] * (2 - nf)
+
+
+def settle_cycle(cycle: np.ndarray, omega: float, cfg: IntegrationConfig) -> int | None:
+    """The first cycle c >= ramp_periods at whose start a run from rest has
+    settled, or None when no c <= max_periods - measure_periods has.
+
+    ``cycle`` is the modes' one-cycle map [P^N | S_N] as ``integrate``
+    builds it. A mode's periodic start state is y* = (I - P^N)^-1 S_N, and
+    the transient left at the start of cycle c is -(P^N)^c y*. The run has
+    settled when every mode's transient is at most convergence_tol of its
+    y* in the norm sqrt(w^2 x^2 + v^2), which is constant on a harmonic
+    orbit. None also when I - P^N is singular or y* is not finite.
+    """
+    # each mode's P^N in the coordinates (w x, v), and y* / |y*| there
+    modes = []
+    for a, b, c, e, s, t in _mode_maps(cycle):
+        det = (1.0 - a) * (1.0 - e) - b * c
+        if not (det != 0.0 and math.isfinite(det)):
+            return None
+        u, v = omega * ((1.0 - e) * s + b * t) / det, (c * s + (1.0 - a) * t) / det
+        norm = math.hypot(u, v)
+        if not norm < math.inf:
+            return None
+        modes.append((a, b * omega, c / omega, e, u / norm, v / norm) if norm else (0.0,) * 6)
+    (a, b, c, e, u, v), (f, g, h, k, p, q) = modes
+    tol = cfg.convergence_tol
+    for cycles in range(1, cfg.max_periods - cfg.measure_periods + 1):
+        u, v, p, q = a * u + b * v, c * u + e * v, f * p + g * q, h * p + k * q
+        if cycles >= cfg.ramp_periods:
+            r, s = math.hypot(u, v), math.hypot(p, q)
+            if r <= tol and s <= tol:
+                return cycles
+            if not r + s < math.inf:  # a transient past the float range never settles
+                return None
+    return None
+
+
 def integrate(
     system: SystemMatrices, forcing: ForcingSpec, cfg: IntegrationConfig = IntegrationConfig()
 ) -> ResponseRecord:
     """Integrate to harmonic steady state with fixed-step classical RK4.
 
-    dt = (2*pi/omega)/steps_per_period, zero initial conditions. Runs at
-    least ramp_periods + measure_periods full periods, then continues until
-    the per-cycle rotation RMS changes by less than convergence_tol
-    (relative) for every free flap, or max_periods is reached (in which
-    case the record is flagged steady=False). With one flap of a pair
-    fixed, the free flap's own system (no coupling) is integrated and the
-    fixed flap is reported as a zero series.
+    dt = (2*pi/omega)/steps_per_period, zero initial conditions. With c
+    the ``settle_cycle``, the run is c + measure_periods cycles, flagged
+    steady; without one it is max_periods cycles, flagged steady=False.
+    With one flap of a pair fixed, the free flap's own system (no
+    coupling) is integrated and the fixed flap is a zero series.
 
     The free flaps are stepped as their modes (``SystemMatrices.modes``)
-    and mapped back to the flaps for the test and the record, so flaps
-    forced alike are identical. One
-    RK4 step is y <- P y + Im(Q exp(i w t)), with P RK4's stability
-    polynomial in dt*A; with the forcing phase as a rotating pair
-    (cos w t, sin w t) in the state it is one real linear map. Its powers,
-    built once per call by a real recurrence that doubles per pass, hold
-    P^j and the cycle from rest S_j (j = 1..steps_per_period), so sample j
-    of the period that starts from y_c is P^j @ y_c + S_j; every period
-    starts at phase 0. A period's own cost is one 4x4 map (plus offset)
-    from its start state to the next. The rest costs a few array calls per
-    block of periods, ramp_periods + measure_periods first and
-    measure_periods after: one array product of the block's start states
-    (y_c, 1) against the stacked [P^j | S_j] writes its samples, those of
-    step-by-step RK4 up to rounding, straight into the record, and each
-    period's rotation RMS and finiteness test are taken from those very
-    samples before the drift test runs over the block's RMS list.
+    and mapped back to the flaps, so flaps forced alike are identical.
+    Sample j of the cycle that starts from y_c is P^j @ y_c + S_j, with P^j
+    the j-th power of RK4's step and S_j the cycle from rest; one array
+    product of all start states (y_c, 1) against the stacked [P^j | S_j]
+    writes the record, step-by-step RK4's samples up to rounding.
 
-    Raises NumericalError naming the first offending step when a period
+    Raises NumericalError naming the first offending step when a cycle
     holds a non-finite state. A state whose square overflows counts as
-    non-finite, and so does a period whose rotation RMS overflows, so
-    steady=True is only ever reported for a finite RMS.
+    non-finite, and so does a cycle whose rotation RMS overflows.
     """
-    n = system.dof
     free, free_system, phasor = _free_model(system, forcing)
     omega = forcing.omega
     steps = cfg.steps_per_period
     dt = (2.0 * math.pi / omega) / steps
-    span = cfg.measure_periods * steps
 
     # The state is y = (rotations, velocities) of the modes, mode i in rows
     # i and nf + i. The forcing phase rides in it too: with x = (y, cos w t,
     # sin w t) a step is the real linear map phi = [[step, b], [0, rot]], with
-    # b = [Im q, Re q] and rot the rotation by w dt, built mode by mode into
-    # phi's rows. The forcing repeats every `steps` steps, so the samples of
-    # any cycle starting from y at phase 0 are powers @ y + zero_state, where
-    # [powers[j] | zero_state[j]] is the top of phi^(j+1): step^(j+1) and the
-    # cycle that starts from rest. The powers of phi double per pass, in
-    # place, one real product each.
+    # b = [Im q, Re q] and rot the rotation by w dt, built mode by mode. The
+    # top of phi^(j+1) is [P^(j+1) | S_(j+1)], the samples' map of any cycle
+    # that starts at phase 0; the powers double per pass, in place.
     nf = len(free)
     d = 2 * nf
     phi = [[0.0] * (d + 2) for _ in range(d + 2)]
@@ -295,90 +322,61 @@ def integrate(
             np.matmul(stack[: new.stop - done], stack[done - 1], out=stack[new])
             done *= 2
         samples_map = stack[:, :d, : d + 1]
+        settled = settle_cycle(samples_map[-1], omega, cfg)
+        steady = settled is not None
+        cycles = settled + cfg.measure_periods if steady else cfg.max_periods
 
-        # A cycle is then a function of its start state u = (y, 1): the next
-        # start state is cycle_map @ u, and one product of u against stacked
-        # gives its modal samples, rotations and velocities apart: column
-        # j * nf + i holds mode i at step j. Every cycle restarts at phase 0,
-        # so the phase never drifts across cycles. A one-cycle block goes to
-        # BLAS gemv, which rounds apart from the gemm of longer blocks; with
-        # stacked the transposed view of a C-contiguous array, a flap that is
-        # a rounding-level difference of its modes keeps the stepper's verdict.
-        cycle_map = np.eye(d + 1)
-        cycle_map[:d] = samples_map[-1]
+        # Start states advance mode by mode in Python floats and stop before
+        # the first that is not finite: the record ends in that state, where
+        # the overflow check below finds it. One product of all of them (y, 1)
+        # against stacked writes the modal samples, rotations and velocities
+        # apart, mode i of step j in column j * nf + i
+        (a, b, c, e, s, t), (f, g, h, k, p, q) = _mode_maps(samples_map[-1])
+        x = v = y = w = 0.0
+        starts = [(x, y, v, w)]
+        for _ in range(1, cycles):
+            x, v, y, w = a * x + b * v + s, c * x + e * v + t, f * y + g * w + p, h * y + k * w + q
+            if not math.isfinite(x + v + y + w):
+                break
+            starts.append((x, y, v, w))
+        cycles = len(starts)
+        # (x0, x1, v0, v1), or (x0, v0) for a lone flap, and the offset's 1
+        starts = np.column_stack([np.array(starts)[:, :: 3 - nf], np.ones(cycles)])
         stacked = samples_map.reshape(steps, 2, nf, d + 1).swapaxes(0, 1)
         stacked = stacked.reshape(2, steps * nf, d + 1).swapaxes(1, 2)
-
-        # Start states advance one map per cycle; samples and tests take a
-        # block of cycles at once. The block's samples go straight into the
-        # record, the modes become the flaps in place, and each cycle is
-        # judged on those very samples: it is non-finite when any flap state,
-        # its square or its rotation RMS is, and raises NumericalError. A
-        # finite sum of squares clears every square of its cycle at once. The
-        # start states and the record grow by doubling, never to max_periods.
-        first = cfg.ramp_periods + cfg.measure_periods
-        size = min(first + cfg.measure_periods, cfg.max_periods)
-        starts = np.zeros((size + 1, d + 1))
-        starts[0, d] = 1.0
-        states = np.empty((2, size * steps + 1, nf))
+        total = cycles * steps + 1
+        states = np.empty((2, total, nf))
         states[:, 0] = 0.0
-        ones = np.ones(steps)
-        tol = cfg.convergence_tol
-        prev_rms = None
-        steady = False
-        cycles = 0
-        while not steady and cycles < cfg.max_periods:
-            end = min(max(cycles + cfg.measure_periods, first), cfg.max_periods)
-            if end > size:  # rows are written before read
-                size = min(2 * end, cfg.max_periods)
-                starts = np.resize(starts, (size + 1, d + 1))
-                kept = states[:, : cycles * steps + 1]
-                states = np.empty((2, size * steps + 1, nf))
-                states[:, : kept.shape[1]] = kept
-            for cycle in range(cycles, end):
-                np.matmul(cycle_map, starts[cycle], out=starts[cycle + 1])
-            block = states[:, 1 + cycles * steps : 1 + end * steps]
-            np.matmul(starts[cycles:end], stacked, out=block.reshape(2, end - cycles, -1))
-            if nf == 2:
-                difference = block[:, :, 0] - block[:, :, 1]
-                block[:, :, 0] += block[:, :, 1]
-                block[:, :, 1] = difference
-            block = block.reshape(2, end - cycles, steps, nf)
-            squares = block * block
-            sums = ones @ squares  # (rotation or velocity, cycle, flap)
-            rms_list = np.sqrt(sums[0] / steps).tolist()
-            cleared = np.isfinite(sums).all(axis=(0, 2)).tolist()
-            for cycle, cycle_squares, rms, finite in zip(
-                range(cycles, end), squares.swapaxes(0, 1), rms_list, cleared
-            ):
-                if not finite:
-                    good = np.isfinite(cycle_squares).all(axis=(0, 2))
-                    if not (good.all() and np.isfinite(rms).all()):
-                        # first sample whose square overflows; if every square
-                        # is finite but their sum is not, the cycle's last step
-                        bad = cycle * steps + (
-                            int(np.argmin(good)) + 1 if not good.all() else steps
-                        )
-                        raise NumericalError(
-                            f"state became non-finite at step {bad} (t={bad * dt:.3f} s); "
-                            "the system is unstable (negative effective damping) or its "
-                            "forcing is beyond the float range"
-                        )
-                cycles = cycle + 1
-                if prev_rms is not None and cycles >= first:
-                    if all(abs(r - p) <= tol * max(r, p) for r, p in zip(rms, prev_rms)):
-                        steady = True
-                        break
-                prev_rms = rms
+        np.matmul(starts, stacked, out=states[:, 1:].reshape(2, cycles, -1))
+        if nf == 2:  # the modes become the flaps in place
+            difference = states[:, :, 0] - states[:, :, 1]
+            states[:, :, 0] += states[:, :, 1]
+            states[:, :, 1] = difference
 
-    total = cycles * steps + 1
+        # While peak^2 * 2 steps is finite no square and no cycle's sum of
+        # squares overflows (the 2 leaves room for rounding); past it, name
+        # the first sample whose square is not finite, or the last step of a
+        # cycle whose rotation RMS is not
+        peak = max(-states.min(), states.max())
+        if not peak * peak * (2 * steps) < math.inf:
+            squares = states[:, 1:].reshape(2, cycles, steps, nf) ** 2
+            good = np.isfinite(squares).all(axis=(0, 3))
+            good[:, -1] &= np.isfinite(squares[0].sum(axis=1)).all(axis=1)
+            if not good.all():
+                bad = int(np.argmin(good)) + 1
+                raise NumericalError(
+                    f"state became non-finite at step {bad} (t={bad * dt:.3f} s); "
+                    "the system is unstable (negative effective damping) or its "
+                    "forcing is beyond the float range"
+                )
+
     time = np.arange(total) * dt
-    if nf < n:  # the fixed flap's columns stay zero
-        flaps = np.zeros((2, total, n))
-        flaps[:, :, free[0]] = states[:, :total, 0]
+    if nf < system.dof:  # the fixed flap's columns stay zero
+        flaps = np.zeros((2, total, system.dof))
+        flaps[:, :, free[0]] = states[:, :, 0]
         states = flaps
-    rotation, velocity = states[:, :total]
-    window = slice(total - span, total)
+    rotation, velocity = states
+    window = slice(total - cfg.measure_periods * steps, total)
     return ResponseRecord(time, rotation, velocity, omega, steady, cycles, window)
 
 

@@ -172,7 +172,7 @@ class TestSimulate:
         "height, what",
         [
             ("1e160", "state became non-finite at step 1 (t=0.048 s)"),
-            ("1e153", "rotation RMS over the measure window is non-finite (cycles_used=20)"),
+            ("1e153", "rotation RMS over the measure window is non-finite (cycles_used=31)"),
         ],
     )
     def test_non_finite_response_names_both_causes(
@@ -191,8 +191,8 @@ class TestSimulate:
         assert not out.exists()
 
     def test_non_steady_case_is_named_on_stderr(self, fast_config, tmp_path, capsys):
-        # 12 periods, the least that covers ramp plus measure, is too few for
-        # the drift to settle below tolerance
+        # 12 periods, the least that covers ramp plus measure, leave the
+        # transient no room to settle below tolerance before the window
         data = json.loads(fast_config.read_text())
         data["integration"]["max_periods"] = 12
         config = tmp_path / "short.json"
@@ -482,6 +482,17 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "PASS oracle-amplitude" in out
         assert "PASS energy-balance" in out
+
+    @pytest.mark.parametrize("seed", [9, 13, 21])
+    def test_lightly_damped_seeds_pass(self, configs_dir, tmp_path, capsys, seed):
+        # at each seed one lightly damped case once read as steady with part
+        # of its transient in the measure window, and failed its energy balance
+        data = json.loads((configs_dir / "reference.json").read_text())
+        data["seed"] = seed
+        path = tmp_path / "seeded.json"
+        path.write_text(json.dumps(data))
+        assert main([str(path), "--workers", "1", "verify", "--cases", "80"]) == 0
+        assert "FAIL" not in capsys.readouterr().out
 
     def test_bad_case_count_exits_1(self, fast_config):
         assert main([str(fast_config), "verify", "--cases", "0"]) == 1

@@ -647,11 +647,6 @@ class TestNonFiniteBackstop:
             run_wave_case(fast_reference, WaveCondition(1.75, 8.5), 45.0, dual=True)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="integrate declares steady state after the 20-period minimum while the "
-    "measure window still holds part of the transient (about -0.5% power here)",
-)
 def test_steady_power_matches_oracle_to_a_tenth_of_a_percent(reference):
     wave = WaveCondition(1.75, 9.5)
     result = run_wave_case(reference, wave, 10.0, dual=True)
