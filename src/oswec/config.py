@@ -88,15 +88,38 @@ def _number(section: dict, key: str, context: str, default: float | None = None)
         raise InvalidInputError(f"config {context}: {key} lies beyond the float range") from None
 
 
+# The keys each section reads; any other key is an error, not ignored
+_KEYS = {
+    "top level": ("environment", "flap", "coefficients", "transfer", "pto", "integration",
+                  "output_dir", "seed"),
+    "environment": ("gravity_m_per_s2", "water_depth_m"),
+    "flap": ("inertia_dry_kg_m2", "stiffness_Nm_per_rad"),
+    "coefficients": ("analytic", "table_csv"),
+    "coefficients.analytic": ("added_inertia_kg_m2", "damping_Nm_s_per_rad", "alpha", "eps"),
+    "transfer": ("gamma_Nm_per_m", "table_csv", "eta"),
+    "pto": ("damping_Nm_s_per_rad", "included_in_damping"),
+    "integration": ("steps_per_period", "measure_periods", "max_periods", "convergence_tol"),
+}
+
+
+def _known(section: dict, context: str) -> dict:
+    """``section`` itself, once each of its keys is one its parser reads."""
+    for key in section:
+        if key not in _KEYS[context]:
+            raise InvalidInputError(f"config {context}: unknown key {key!r}")
+    return section
+
+
 def _section(data: dict, key: str, context: str = "top level") -> dict:
     value = _require(data, key, context)
     if not isinstance(value, dict):
         raise InvalidInputError(f"config section {key!r} must be an object")
-    return value
+    return _known(value, key if context == "top level" else f"{context}.{key}")
 
 
 def load_run_config(path) -> RunConfig:
-    """Parse and validate a run-configuration JSON file.
+    """Parse and validate a run-configuration JSON file; a key that no
+    section reads is an error.
 
     Referenced files (coefficient table, transfer table) are resolved
     relative to the configuration file's directory and must exist.
@@ -119,6 +142,7 @@ def load_run_config(path) -> RunConfig:
 
 
 def _parse_run_config(data: dict, base_dir: str) -> RunConfig:
+    _known(data, "top level")
     env_s = _section(data, "environment")
     environment = Environment(
         gravity=_number(env_s, "gravity_m_per_s2", "environment", 9.81),
@@ -179,7 +203,6 @@ def _parse_run_config(data: dict, base_dir: str) -> RunConfig:
     integ_s = _section(data, "integration") if "integration" in data else {}
     integration = IntegrationConfig(
         steps_per_period=_integer(integ_s, "steps_per_period", 200, "integration"),
-        ramp_periods=_integer(integ_s, "ramp_periods", 10, "integration"),
         measure_periods=_integer(integ_s, "measure_periods", 10, "integration"),
         max_periods=_integer(integ_s, "max_periods", 200, "integration"),
         convergence_tol=_number(integ_s, "convergence_tol", "integration", 1e-4),

@@ -133,11 +133,10 @@ class ForcingSpec:
 @dataclass(frozen=True)
 class IntegrationConfig:
     """Fixed-step RK4 settings and the steady-state rule: a run is steady
-    from the first cycle >= ramp_periods at which each mode's transient is
-    at most convergence_tol of its steady orbit (``settle_cycle``)."""
+    from the first cycle at which each mode's transient is at most
+    convergence_tol of its steady orbit (``settle_cycle``)."""
 
     steps_per_period: int = 200
-    ramp_periods: int = 10
     measure_periods: int = 10
     max_periods: int = 200
     convergence_tol: float = 1e-4
@@ -145,7 +144,7 @@ class IntegrationConfig:
     def __post_init__(self):
         # below 3 steps per period the harmonic fit aliases the forcing, and
         # it needs a measure window of at least 3 periods
-        lows = {"steps_per_period": 3, "ramp_periods": 1, "measure_periods": 3, "max_periods": 1}
+        lows = {"steps_per_period": 3, "measure_periods": 3}
         for name, low in lows.items():
             if getattr(self, name) < low:
                 raise InvalidInputError(f"{name} must be >= {low}, got {getattr(self, name)}")
@@ -153,8 +152,8 @@ class IntegrationConfig:
             raise InvalidInputError(
                 f"convergence_tol must be positive and finite, got {self.convergence_tol}"
             )
-        if self.max_periods < self.ramp_periods + self.measure_periods:
-            raise InvalidInputError("max_periods must cover ramp plus measure periods")
+        if self.max_periods <= self.measure_periods:
+            raise InvalidInputError("max_periods must exceed measure_periods")
 
 
 @dataclass(frozen=True)
@@ -164,8 +163,8 @@ class ResponseRecord:
     A fixed flap's columns are identically zero. ``steady`` is False when
     no settle cycle leaves room for the measure window within max_periods.
     ``window`` is the sample slice of the final measure periods, the one
-    every steady-state reduction averages over; ``integrate`` runs at least
-    ramp plus measure periods, so the window lies inside the record.
+    every steady-state reduction averages over; ``integrate`` runs more
+    than measure_periods cycles, so the window lies inside the record.
     """
 
     time: np.ndarray  # (S,) s
@@ -230,8 +229,8 @@ def _mode_maps(cycle: np.ndarray) -> list[tuple]:
 
 
 def settle_cycle(cycle: np.ndarray, omega: float, cfg: IntegrationConfig) -> int | None:
-    """The first cycle c >= ramp_periods at whose start a run from rest has
-    settled, or None when no c <= max_periods - measure_periods has.
+    """The first cycle c >= 1 at whose start a run from rest has settled,
+    or None when no c <= max_periods - measure_periods has.
 
     ``cycle`` is the modes' one-cycle map [P^N | S_N] as ``integrate``
     builds it. A mode's periodic start state is y* = (I - P^N)^-1 S_N, and
@@ -255,12 +254,11 @@ def settle_cycle(cycle: np.ndarray, omega: float, cfg: IntegrationConfig) -> int
     tol = cfg.convergence_tol
     for cycles in range(1, cfg.max_periods - cfg.measure_periods + 1):
         u, v, p, q = a * u + b * v, c * u + e * v, f * p + g * q, h * p + k * q
-        if cycles >= cfg.ramp_periods:
-            r, s = math.hypot(u, v), math.hypot(p, q)
-            if r <= tol and s <= tol:
-                return cycles
-            if not r + s < math.inf:  # a transient past the float range never settles
-                return None
+        r, s = math.hypot(u, v), math.hypot(p, q)
+        if r <= tol and s <= tol:
+            return cycles
+        if not r + s < math.inf:  # a transient past the float range never settles
+            return None
     return None
 
 

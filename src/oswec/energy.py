@@ -345,14 +345,14 @@ def evaluate_linear(fn, model: Model, cases) -> list:
     torque amplitude share a key, and ``fn`` runs once per key, at the
     key's largest height or torque (its first case with that factor, the
     key's reference). Each run's record is dropped before the next key
-    runs. Every case of a steady key scales the reference result down by
-    its factor over the largest (``CaseResult.scaled``), so the reference
-    case itself is its own run bit for bit. When a key's run failed or is
-    not steady, its reference case, and any case with the same factor,
-    keeps that outcome; every other case of the key runs on its own, after
-    all key runs: an unstable system overflows at a step that depends on
-    the amplitude, so only the case's own run gives its error and flags.
-    No case runs twice.
+    runs. Every case of a key whose run succeeded scales the reference
+    result down by its factor over the largest (``CaseResult.scaled``), so
+    the reference case itself is its own run bit for bit. When a key's run
+    failed, its reference case, and any case with the same factor, keeps
+    that failure; every other case of the key runs on its own, after all
+    key runs: an unstable system overflows at a step that depends on the
+    amplitude, so only the case's own run gives its error. No case runs
+    twice.
     """
     keys, factors = [], []
     for condition, *rest in cases:
@@ -372,7 +372,7 @@ def evaluate_linear(fn, model: Model, cases) -> list:
     results = []
     for key, factor in zip(keys, factors):
         run, largest = runs[key], factors[reference[key]]
-        if isinstance(run, CaseResult) and run.metrics.steady:
+        if isinstance(run, CaseResult):
             run = run.scaled(factor / largest)
         elif factor != largest:
             run = None

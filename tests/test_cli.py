@@ -19,7 +19,6 @@ def fast_config(tmp_path, configs_dir):
     data = json.loads((configs_dir / "reference.json").read_text())
     data["integration"] = {
         "steps_per_period": 120,
-        "ramp_periods": 6,
         "measure_periods": 6,
         "max_periods": 150,
         "convergence_tol": 1e-4,
@@ -191,8 +190,8 @@ class TestSimulate:
         assert not out.exists()
 
     def test_non_steady_case_is_named_on_stderr(self, fast_config, tmp_path, capsys):
-        # 12 periods, the least that covers ramp plus measure, leave the
-        # transient no room to settle below tolerance before the window
+        # in 12 periods the 6-period measure window fits only after a settle
+        # cycle of at most 6, and this case settles later
         data = json.loads(fast_config.read_text())
         data["integration"]["max_periods"] = 12
         config = tmp_path / "short.json"

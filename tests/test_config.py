@@ -210,7 +210,7 @@ class TestStrictTypes:
             ),
             ({"integration": {"steps_per_period": 2.7}}, "steps_per_period"),
             ({"integration": {"max_periods": "200"}}, "max_periods"),
-            ({"integration": {"ramp_periods": True}}, "ramp_periods"),
+            ({"integration": {"measure_periods": True}}, "measure_periods"),
             ({"seed": -1}, "seed"),
             ({"seed": 1.5}, "seed"),
             ({"environment": {"gravity_m_per_s2": "9.81"}}, "gravity_m_per_s2"),
@@ -234,6 +234,29 @@ class TestStrictTypes:
             ({"integration": {"steps_per_period": 2}}, "steps_per_period must be >= 3"),
             ({"integration": {"measure_periods": 2}}, "measure_periods must be >= 3, got 2"),
             ({"environment": {"water_depth_m": 10**399}}, "too large"),
+            ({"seeed": 3}, "config top level: unknown key 'seeed'"),
+            (
+                {"environment": {"water_depth": 50.0}},
+                "config environment: unknown key 'water_depth'",
+            ),
+            ({"flap": {**FLAP, "inertia_kg_m2": 1e7}}, "config flap: unknown key 'inertia_kg_m2'"),
+            (
+                {"coefficients": {"analytic": ANALYTIC, "table": "coeffs.csv"}},
+                "config coefficients: unknown key 'table'",
+            ),
+            (
+                {"coefficients": {"analytic": {**ANALYTIC, "alhpa": 0.05}}},
+                "config coefficients.analytic: unknown key 'alhpa'",
+            ),
+            (
+                {"transfer": {"gamma_Nm_per_m": 1e6, "eta_back": 0.1}},
+                "config transfer: unknown key 'eta_back'",
+            ),
+            (
+                {"pto": {"damping_Nm_s_per_rad": 5e5, "included": True}},
+                "config pto: unknown key 'included'",
+            ),
+            ({"integration": {"max_period": 5}}, "config integration: unknown key 'max_period'"),
         ],
         ids=[
             "bool_string",
@@ -264,6 +287,14 @@ class TestStrictTypes:
             "aliasing_steps",
             "short_measure_window",
             "huge_depth",
+            "unknown_top_level",
+            "unknown_environment",
+            "unknown_flap",
+            "unknown_coefficients",
+            "unknown_analytic",
+            "unknown_transfer",
+            "unknown_pto",
+            "unknown_integration",
         ],
     )
     def test_config_value_rejected(self, tmp_path, capsys, overrides, match):

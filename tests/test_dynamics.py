@@ -82,9 +82,7 @@ def reference_1dof():
     return SystemMatrices(1.0e7, 1.0e6, 4.375e6)
 
 
-UNSTABLE_CFG = IntegrationConfig(
-    steps_per_period=120, ramp_periods=6, measure_periods=6, max_periods=200
-)
+UNSTABLE_CFG = IntegrationConfig(steps_per_period=120, measure_periods=6, max_periods=200)
 
 
 def unstable_in_phase_case():
@@ -175,8 +173,7 @@ class TestIntegrate:
         assert np.isfinite(record.rotation**2).all()
 
     def test_max_periods_flags_not_steady(self):
-        cfg = IntegrationConfig(ramp_periods=1, measure_periods=3, max_periods=4,
-                                convergence_tol=1e-12)
+        cfg = IntegrationConfig(measure_periods=3, max_periods=4, convergence_tol=1e-12)
         omega = 2.0 * math.pi / 9.5
         record = integrate(reference_1dof(), ForcingSpec(omega, (0.6e6,)), cfg)
         assert not record.steady
@@ -186,9 +183,7 @@ class TestIntegrate:
         # the pair settles only after cycle 15, the last whose measure
         # window fits in 18 cycles: the record is the stepper's 18 cycles
         forcing = ForcingSpec(2.0 * math.pi / 10.5, (cmath.rect(1.0, 0.3), 0.8))
-        cfg = IntegrationConfig(
-            steps_per_period=40, ramp_periods=2, measure_periods=3, max_periods=18
-        )
+        cfg = IntegrationConfig(steps_per_period=40, measure_periods=3, max_periods=18)
         rotation, velocity, cycles, steady, window = stepped_rk4(_coupled_pair(), forcing, cfg)
         record = integrate(_coupled_pair(), forcing, cfg)
         for got, want in ((record.rotation, rotation), (record.velocity, velocity)):
@@ -201,9 +196,7 @@ class TestIntegrate:
         # room for 1e12 cycles would not fit in memory; the pair settles at
         # cycle 21, and the record holds that and the measure window
         forcing = ForcingSpec(2.0 * math.pi / 10.5, (cmath.rect(1.0, 0.3), 0.8))
-        cfg = IntegrationConfig(
-            steps_per_period=40, ramp_periods=10, measure_periods=10, max_periods=10**12
-        )
+        cfg = IntegrationConfig(steps_per_period=40, measure_periods=10, max_periods=10**12)
         record = integrate(_coupled_pair(), forcing, cfg)
         assert (record.cycles, record.steady) == (31, True)
         assert record.time.size == 31 * cfg.steps_per_period + 1
@@ -411,9 +404,7 @@ def _beating_flap_case():
     # swelling and shrinking between 4e139 and 7e139 over 25 cycles
     system = SystemMatrices(1.0e6, 4.0e4, 1.0e6)
     forcing = ForcingSpec(0.8, (0.36e6 * 10.0**139.63,))
-    cfg = IntegrationConfig(
-        steps_per_period=40, ramp_periods=1, measure_periods=3, max_periods=120
-    )
+    cfg = IntegrationConfig(steps_per_period=40, measure_periods=3, max_periods=120)
     return system, forcing, cfg
 
 
@@ -505,13 +496,11 @@ def linear_systems(draw):
     )
     coupling = (ci, cd) if dof == 2 else None
     system = SystemMatrices(inertia, damping, inertia * omega_n**2, coupling)
-    ramp = draw(st.integers(1, 10))
     measure = draw(st.integers(3, 10))
     cfg = IntegrationConfig(
         steps_per_period=draw(st.sampled_from([37, 120, 200])),
-        ramp_periods=ramp,
         measure_periods=measure,
-        max_periods=draw(st.integers(ramp + measure, 120)),
+        max_periods=draw(st.integers(measure + 1, 120)),
     )
     return system, ForcingSpec(omega, torques), cfg
 
@@ -530,15 +519,15 @@ def test_integrate_is_finite_or_names_the_step(case):
     assert np.isfinite(record.velocity**2).all()
     assert record.cycles <= cfg.max_periods
     if record.steady:
-        assert record.cycles >= cfg.ramp_periods + cfg.measure_periods
+        assert record.cycles >= 1 + cfg.measure_periods
 
 
 @given(linear_systems())
 @settings(max_examples=150, deadline=None)
 def test_settle_cycle_is_the_first_settled_cycle(case):
-    """``settle_cycle`` returns the first cycle c >= ramp_periods at which
-    every mode's transient is within convergence_tol of its orbit, checked
-    at c and c - 1 on the literal stepper's start states against a y*
+    """``settle_cycle`` returns the first cycle c >= 1 at which every mode's
+    transient is within convergence_tol of its orbit, checked at c and, when
+    c > 1, at c - 1 on the literal stepper's start states against a y*
     solved apart in the flaps' coordinates; a steady record runs exactly
     c + measure_periods cycles, any other max_periods."""
     system, forcing, cfg = case
@@ -552,7 +541,7 @@ def test_settle_cycle_is_the_first_settled_cycle(case):
         assert (record.cycles, record.steady) == (cfg.max_periods, False)
         return
     assert (record.cycles, record.steady) == (settled + cfg.measure_periods, True)
-    assert cfg.ramp_periods <= settled <= cfg.max_periods - cfg.measure_periods
+    assert 1 <= settled <= cfg.max_periods - cfg.measure_periods
 
     step_matrix, run = literal_rk4(system, forcing, cfg)
     starts = [np.zeros(step_matrix.shape[0])]
@@ -570,7 +559,7 @@ def test_settle_cycle_is_the_first_settled_cycle(case):
     bound = cfg.convergence_tol * norms(orbit)
     slack = 1e-9 * max(norms(orbit).max(), sys.float_info.min)
     assert (norms(starts[settled] - orbit) <= bound + slack).all()
-    if settled - 1 >= cfg.ramp_periods:
+    if settled > 1:
         assert (norms(starts[settled - 1] - orbit) > bound - slack).any()
 
 
@@ -582,7 +571,7 @@ def test_integrate_matches_the_stepper(case):
     run ends at max_periods, so no verdict on the edge of the settle rule
     can set the two apart."""
     system, forcing, cfg = case
-    cfg = replace(cfg, steps_per_period=37, max_periods=cfg.ramp_periods + cfg.measure_periods)
+    cfg = replace(cfg, steps_per_period=37, max_periods=1 + cfg.measure_periods)
     try:
         rotation, velocity, cycles, _, window = stepped_rk4(system, forcing, cfg)
     except NumericalError as stepped:
@@ -608,7 +597,7 @@ def test_subnormal_torque_matches_the_stepper():
     # a falsifying example of test_integrate_matches_the_stepper
     system = SystemMatrices(1e6, 2e6, 1e6, (0.0, 4e6))
     forcing = ForcingSpec(1.0, (1.1125369292536007e-308, 0j))
-    cfg = IntegrationConfig(steps_per_period=37, ramp_periods=1, measure_periods=3, max_periods=4)
+    cfg = IntegrationConfig(steps_per_period=37, measure_periods=3, max_periods=4)
     rotation, velocity, cycles, _, window = stepped_rk4(system, forcing, cfg)
     record = integrate(system, forcing, cfg)
     assert (record.cycles, record.window) == (cycles, window)
@@ -712,8 +701,7 @@ class TestQuadraticFormFallback:
         # settle rule compares each mode's transient with its own orbit, so
         # the run settles where the same flap forced 1e156 times harder does
         system = SystemMatrices(1333521.43216332, 31254.40856633, 333380.35804083)
-        cfg = IntegrationConfig(steps_per_period=37, ramp_periods=1, measure_periods=3,
-                                max_periods=40)
+        cfg = IntegrationConfig(steps_per_period=37, measure_periods=3, max_periods=40)
         forcing = ForcingSpec(0.25, (2.5867325459706784e-156,))
         _, _, cycles, steady, _ = stepped_rk4(system, forcing, cfg)
         record = integrate(system, forcing, cfg)
@@ -726,8 +714,7 @@ class TestQuadraticFormFallback:
         # the modes', which settle as the lone right flap does
         system = SystemMatrices(1.0e6, 1.5e6, 1.0e6, (0.0, 0.0))
         forcing = ForcingSpec(2.0, (1.192092896e-07, 571831.0))
-        cfg = IntegrationConfig(steps_per_period=37, ramp_periods=1, measure_periods=3,
-                                max_periods=20)
+        cfg = IntegrationConfig(steps_per_period=37, measure_periods=3, max_periods=20)
         _, _, cycles, steady, _ = stepped_rk4(system, forcing, cfg)
         record = integrate(system, forcing, cfg)
         lone = integrate(SystemMatrices(1.0e6, 1.5e6, 1.0e6), ForcingSpec(2.0, (571831.0,)), cfg)
@@ -999,8 +986,10 @@ class TestValidation:
             IntegrationConfig(steps_per_period=0)
         with pytest.raises(InvalidInputError):
             IntegrationConfig(convergence_tol=0.0)
-        with pytest.raises(InvalidInputError):
-            IntegrationConfig(ramp_periods=150, measure_periods=100, max_periods=200)
+        # a run that settles at cycle 1 still needs room for its measure window
+        with pytest.raises(InvalidInputError, match="^max_periods must exceed measure_periods$"):
+            IntegrationConfig(measure_periods=200, max_periods=200)
+        IntegrationConfig(measure_periods=199, max_periods=200)
         # a harmonic fit needs at least three periods in its window
         for periods in (1, 2):
             message = f"^measure_periods must be >= 3, got {periods}$"

@@ -20,7 +20,7 @@ from oswec.sweep import (
     run_wave_study,
 )
 
-FAST = IntegrationConfig(steps_per_period=120, ramp_periods=6, measure_periods=6, max_periods=150)
+FAST = IntegrationConfig(steps_per_period=120, measure_periods=6, max_periods=150)
 
 
 @pytest.fixture(scope="module")
@@ -112,8 +112,7 @@ class TestTorqueStudy:
     def test_unstable_point_is_an_error_row(self, reference):
         # alpha=1, d=10 m, Te=38 s in-phase has negative modal damping; the
         # point must be quarantined, never reported with inf metrics
-        cfg = IntegrationConfig(steps_per_period=120, ramp_periods=6, measure_periods=6,
-                                max_periods=200)
+        cfg = IntegrationConfig(steps_per_period=120, measure_periods=6, max_periods=200)
         model = replace(reference, integration=cfg,
                         coefficients=replace(reference.coefficients, alpha=1.0))
         plan = SweepPlan(
@@ -221,8 +220,7 @@ class TestUnitAmplitudeCollapse:
     @staticmethod
     def unstable_model(reference, max_periods):
         # alpha=1, d=10 m, Te=38 s in-phase has negative modal damping
-        cfg = IntegrationConfig(steps_per_period=120, ramp_periods=6, measure_periods=6,
-                                max_periods=max_periods)
+        cfg = IntegrationConfig(steps_per_period=120, measure_periods=6, max_periods=max_periods)
         return replace(reference, integration=cfg,
                        coefficients=replace(reference.coefficients, alpha=1.0))
 
@@ -250,10 +248,10 @@ class TestUnitAmplitudeCollapse:
             assert row["error"] == f"NumericalError: {raised.value}"
             assert f"non-finite at step {step} " in row["error"]
 
-    def test_non_steady_key_runs_each_cell(self, reference, monkeypatch):
+    def test_non_steady_key_runs_once(self, reference, monkeypatch):
         # within 40 periods the growing response stays finite but never
-        # steady, so no cell is scaled from the key's run: the largest torque
-        # keeps that run, the other torque runs on its own
+        # steady; the key's run succeeded, and its length does not depend on
+        # the amplitude, so the other torque scales it and equals its own run
         calls = []
         real = energy_mod.integrate
 
@@ -263,9 +261,22 @@ class TestUnitAmplitudeCollapse:
             return record
 
         monkeypatch.setattr(energy_mod, "integrate", counting)
-        rows = run_torque_study(self.UNSTABLE_PLAN, self.unstable_model(reference, 40)).rows
-        assert calls == [(1, True)] + [(2, False)] * 2
+        model = self.unstable_model(reference, 40)
+        rows = run_torque_study(self.UNSTABLE_PLAN, model).rows
+        assert calls == [(1, True), (2, False)]
         assert [(row["error"], row["steady"]) for row in rows] == [("", False)] * 2
+        for row in rows:
+            scenario = TorqueScenario(Scenario.IN_PHASE, row["torque_Nm"], 38.0, 10.0)
+            direct = run_torque_case(model, scenario)
+            assert (direct.metrics.steady, direct.metrics.cycles_used) == (False, 40)
+            for index, name in enumerate(("left", "right")):
+                for key, value in (
+                    ("rms_rad", direct.metrics.rms_rotation[index]),
+                    ("amplitude_rad", direct.metrics.amplitude[index]),
+                    ("phase_rad", direct.metrics.phase[index]),
+                    ("power_W", direct.power[index]),
+                ):
+                    assert row[f"{name}_{key}"] == pytest.approx(value, rel=1e-12, abs=0.0)
 
     def test_failed_baseline_raises(self, fast_reference, monkeypatch):
         real = sweep_mod.run_torque_case
@@ -435,7 +446,7 @@ class TestHeadingStudy:
             return real(model, wave, distance, dual)
 
         monkeypatch.setattr(sweep_mod, "run_wave_case", counting)
-        cfg = IntegrationConfig(steps_per_period=40, ramp_periods=3, measure_periods=3,
+        cfg = IntegrationConfig(steps_per_period=40, measure_periods=3,
                                 max_periods=6, convergence_tol=1e-12)
         plan = SweepPlan(headings=(0.0, 10.0, 20.0))
         rows = run_heading_study(plan, replace(reference, integration=cfg)).rows

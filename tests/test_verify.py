@@ -8,7 +8,7 @@ import oswec.verify as verify_mod
 from oswec.dynamics import IntegrationConfig
 from oswec.verify import format_report, run_verification
 
-FAST = IntegrationConfig(steps_per_period=120, ramp_periods=6, measure_periods=6, max_periods=200)
+FAST = IntegrationConfig(steps_per_period=120, measure_periods=6, max_periods=200)
 
 
 def test_randomized_cases_pass():
