@@ -196,9 +196,8 @@ def _write_timeseries(record, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for i in range(record.time.size):
-            states = map(format_number, (*record.rotation[i], *record.velocity[i]))
-            writer.writerow([format(record.time[i], ".9g"), *states])
+        for t, rotation, velocity in zip(*record.history()):
+            writer.writerow([format(t, ".9g"), *map(format_number, (*rotation, *velocity))])
 
 
 def _note_unsettled(label: str, not_steady: int, total: int, unit: str, failed: int) -> None:
@@ -282,12 +281,12 @@ def _cmd_aep(args, run_config: RunConfig, out_dir: str) -> int:
         write_power_matrix_csv(pm, jpd, os.path.join(out_dir, f"power_matrix_{tag}.csv"))
         payload = power_matrix_payload(pm, jpd)
         write_json(os.path.join(out_dir, f"power_matrix_{tag}.json"), payload)
-        energy = payload["total_annual_energy_GWh"]
+        energy = payload["total_annual_energy_GWh"] * (1.0 if design.dual else 2.0)
         rows.append(
             {
                 "label": label,
                 "distance_m": distance,
-                "annual_energy_GWh": energy if design.dual else 2.0 * energy,
+                "annual_energy_GWh": energy if pm.stable else None,
             }
         )
 
@@ -296,11 +295,12 @@ def _cmd_aep(args, run_config: RunConfig, out_dir: str) -> int:
         writer = csv.writer(fh)
         writer.writerow(["label", "distance_m", "annual_energy_GWh"])
         for row in rows:
+            energy = row["annual_energy_GWh"]
             writer.writerow(
                 [
                     row["label"],
                     "" if row["distance_m"] == "" else format_number(row["distance_m"]),
-                    format_number(row["annual_energy_GWh"]),
+                    "" if energy is None else format_number(energy),
                 ]
             )
     table_json = os.path.join(out_dir, "aep_table.json")
@@ -314,7 +314,8 @@ def _cmd_aep(args, run_config: RunConfig, out_dir: str) -> int:
         },
     )
     for row in rows:
-        print(f"{row['label']}: {row['annual_energy_GWh']:.4f} GWh")
+        energy = row["annual_energy_GWh"]
+        print(f"{row['label']}: {'unstable' if energy is None else f'{energy:.4f} GWh'}")
     print(f"-> {table_csv}, {table_json}")
     return EXIT_OK
 

@@ -20,8 +20,8 @@ rotating pair (cos w t, sin w t) in the state makes it one real linear
 map, whose powers give every sample of a forcing period as an affine map
 of its start state. The one-period map fixes in closed form the period by
 which the transient has decayed (``settle_cycle``), so the run's length is
-known before it starts, and one array product writes every sample into
-the record (the same samples as stepping, up to rounding).
+known before it starts, and one array product writes the last measure
+periods' samples, the record, from their start states (up to rounding).
 ``freq_domain_solve`` solves the physical system with a harmonic ansatz and
 serves as an independent oracle for the integrator.
 """
@@ -158,13 +158,13 @@ class IntegrationConfig:
 
 @dataclass(frozen=True)
 class ResponseRecord:
-    """Uniformly sampled rotation/velocity series for every flap.
+    """Every flap's rotation/velocity at each step of the measure window,
+    the run's last measure_periods cycles; a fixed flap's are zero.
 
-    A fixed flap's columns are identically zero. ``steady`` is False when
-    no settle cycle leaves room for the measure window within max_periods.
-    ``window`` is the sample slice of the final measure periods, the one
-    every steady-state reduction averages over; ``integrate`` runs more
-    than measure_periods cycles, so the window lies inside the record.
+    ``steady`` is False when no settle cycle leaves room for the window
+    within max_periods, ``stable`` when a mode's one-cycle map has spectral
+    radius >= 1. ``history`` rebuilds the run from its modal start states
+    (y_c, 1), one row per cycle, and its cycle's stacked sample map.
     """
 
     time: np.ndarray  # (S,) s
@@ -173,15 +173,20 @@ class ResponseRecord:
     omega: float  # rad/s
     steady: bool
     cycles: int
-    window: slice
+    stable: bool = True
+    starts: np.ndarray | None = None  # (cycles, 2 nf + 1)
+    stacked: np.ndarray | None = None  # (2, 2 nf + 1, steps_per_period * nf)
+    free: tuple[int, ...] = (0,)
 
     @property
     def dof(self) -> int:
         return self.rotation.shape[1]
 
-    def measured(self, series: np.ndarray) -> np.ndarray:
-        """``series`` (time along axis 0) over the measure window."""
-        return series[self.window]
+    def history(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(time, rotation, velocity) at every step of the run, from t = 0."""
+        states = _samples(self.starts, self.stacked, self.free, self.dof)
+        dt = (2.0 * math.pi / self.omega) / (self.stacked.shape[2] // len(self.free))
+        return np.arange(states.shape[1] + 1) * dt, *np.insert(states, 0, 0.0, axis=1)
 
 
 def _free_model(system: SystemMatrices, forcing: ForcingSpec) -> tuple:
@@ -226,6 +231,25 @@ def _mode_maps(cycle: np.ndarray) -> list[tuple]:
     rows = enumerate(zip(cycle[:nf].tolist(), cycle[nf:].tolist()))
     maps = [(x[i], x[nf + i], v[i], v[nf + i], x[-1], v[-1]) for i, (x, v) in rows]
     return maps + [(0.0,) * 6] * (2 - nf)
+
+
+def _spectral_radius(a: float, b: float, c: float, e: float) -> float:
+    """Of [[a, b], [c, e]], whose eigenvalues are (a + e)/2 +- sqrt(disc)."""
+    disc = 0.25 * (a - e) * (a - e) + b * c
+    return math.sqrt(a * e - b * c) if disc < 0.0 else 0.5 * abs(a + e) + math.sqrt(disc)
+
+
+def _samples(starts: np.ndarray, stacked: np.ndarray, free: list | tuple, dof: int) -> np.ndarray:
+    """The flaps' (rotation, velocity) at every step of the cycles that start
+    from ``starts``, rows (y_c, 1), as one (2, S, dof) array: the modes' one
+    product against the stacked map, summed and differenced into the flaps."""
+    nf = len(free)
+    modal = np.matmul(starts, stacked).reshape(2, -1, nf)
+    if nf == 2:
+        modal[..., 0], modal[..., 1] = modal[..., 0] + modal[..., 1], modal[..., 0] - modal[..., 1]
+    elif nf < dof:  # the fixed flap's column is zero
+        modal = np.insert(modal, 1 - free[0], 0.0, axis=2)
+    return modal
 
 
 def settle_cycle(cycle: np.ndarray, omega: float, cfg: IntegrationConfig) -> int | None:
@@ -276,13 +300,16 @@ def integrate(
     The free flaps are stepped as their modes (``SystemMatrices.modes``)
     and mapped back to the flaps, so flaps forced alike are identical.
     Sample j of the cycle that starts from y_c is P^j @ y_c + S_j, with P^j
-    the j-th power of RK4's step and S_j the cycle from rest; one array
-    product of all start states (y_c, 1) against the stacked [P^j | S_j]
-    writes the record, step-by-step RK4's samples up to rounding.
+    the j-th power of RK4's step and S_j the cycle from rest. The record is
+    the measure window: one product of the last measure_periods start
+    states (y_c, 1) against the stacked [P^j | S_j] writes it, step-by-step
+    RK4's samples up to rounding, so its size is set by measure_periods *
+    steps_per_period, not by the run's length (``ResponseRecord.history``).
 
     Raises NumericalError naming the first offending step when a cycle
     holds a non-finite state. A state whose square overflows counts as
-    non-finite, and so does a cycle whose rotation RMS overflows.
+    non-finite, and so does a cycle whose rotation RMS overflows; only a
+    run past a bound on all its samples is built whole to find the step.
     """
     free, free_system, phasor = _free_model(system, forcing)
     omega = forcing.omega
@@ -323,13 +350,12 @@ def integrate(
         settled = settle_cycle(samples_map[-1], omega, cfg)
         steady = settled is not None
         cycles = settled + cfg.measure_periods if steady else cfg.max_periods
+        (a, b, c, e, s, t), (f, g, h, k, p, q) = _mode_maps(samples_map[-1])
+        stable = _spectral_radius(a, b, c, e) < 1.0 and _spectral_radius(f, g, h, k) < 1.0
 
         # Start states advance mode by mode in Python floats and stop before
-        # the first that is not finite: the record ends in that state, where
-        # the overflow check below finds it. One product of all of them (y, 1)
-        # against stacked writes the modal samples, rotations and velocities
-        # apart, mode i of step j in column j * nf + i
-        (a, b, c, e, s, t), (f, g, h, k, p, q) = _mode_maps(samples_map[-1])
+        # the first that is not finite: the run ends in that state, where
+        # the overflow check below finds it
         x = v = y = w = 0.0
         starts = [(x, y, v, w)]
         for _ in range(1, cycles):
@@ -338,26 +364,21 @@ def integrate(
                 break
             starts.append((x, y, v, w))
         cycles = len(starts)
-        # (x0, x1, v0, v1), or (x0, v0) for a lone flap, and the offset's 1
+        # (x0, x1, v0, v1), or (x0, v0) for a lone flap, and the offset's 1;
+        # mode i of step j in column j * nf + i, rotations and velocities apart
         starts = np.column_stack([np.array(starts)[:, :: 3 - nf], np.ones(cycles)])
         stacked = samples_map.reshape(steps, 2, nf, d + 1).swapaxes(0, 1)
         stacked = stacked.reshape(2, steps * nf, d + 1).swapaxes(1, 2)
-        total = cycles * steps + 1
-        states = np.empty((2, total, nf))
-        states[:, 0] = 0.0
-        np.matmul(starts, stacked, out=states[:, 1:].reshape(2, cycles, -1))
-        if nf == 2:  # the modes become the flaps in place
-            difference = states[:, :, 0] - states[:, :, 1]
-            states[:, :, 0] += states[:, :, 1]
-            states[:, :, 1] = difference
+        del stack, samples_map  # only stacked is read from here on
 
-        # While peak^2 * 2 steps is finite no square and no cycle's sum of
-        # squares overflows (the 2 leaves room for rounding); past it, name
-        # the first sample whose square is not finite, or the last step of a
-        # cycle whose rotation RMS is not
-        peak = max(-states.min(), states.max())
-        if not peak * peak * (2 * steps) < math.inf:
-            squares = states[:, 1:].reshape(2, cycles, steps, nf) ** 2
+        # No sample of the run exceeds bound (twice a mode's for a pair). While
+        # bound^2 * 2 steps is finite no square and no cycle's sum of squares
+        # overflows (the 2 leaves room for rounding); past it, name the first
+        # sample whose square is not finite, or the last step of a cycle
+        # whose rotation RMS is not
+        bound = np.abs(starts).max(axis=0) @ np.abs(stacked).max(axis=(0, 2)) * nf
+        if not bound * bound * (2 * steps) < math.inf:
+            squares = _samples(starts, stacked, free, system.dof).reshape(2, cycles, steps, -1) ** 2
             good = np.isfinite(squares).all(axis=(0, 3))
             good[:, -1] &= np.isfinite(squares[0].sum(axis=1)).all(axis=1)
             if not good.all():
@@ -368,14 +389,11 @@ def integrate(
                     "forcing is beyond the float range"
                 )
 
-    time = np.arange(total) * dt
-    if nf < system.dof:  # the fixed flap's columns stay zero
-        flaps = np.zeros((2, total, system.dof))
-        flaps[:, :, free[0]] = states[:, :, 0]
-        states = flaps
-    rotation, velocity = states
-    window = slice(total - cfg.measure_periods * steps, total)
-    return ResponseRecord(time, rotation, velocity, omega, steady, cycles, window)
+    time = np.arange((cycles - cfg.measure_periods) * steps + 1, cycles * steps + 1) * dt
+    rotation, velocity = _samples(starts[-cfg.measure_periods :], stacked, free, system.dof)
+    return ResponseRecord(
+        time, rotation, velocity, omega, steady, cycles, stable, starts, stacked, tuple(free)
+    )
 
 
 def freq_domain_solve(system: SystemMatrices, forcing: ForcingSpec) -> np.ndarray:
@@ -484,6 +502,7 @@ class ResponseMetrics:
     phase: np.ndarray  # (n,) rad in (-pi, pi]
     steady: bool
     cycles_used: int
+    stable: bool  # ``ResponseRecord.stable``
 
     @property
     def dof(self) -> int:
@@ -492,11 +511,10 @@ class ResponseMetrics:
 
 def response_metrics(record: ResponseRecord) -> ResponseMetrics:
     """RMS, amplitude, and phase per flap over the record's measure window."""
-    t = record.measured(record.time)
-    rot = record.measured(record.rotation)
+    t, rot = record.time, record.rotation
     rms = np.sqrt(np.einsum("ij,ij->j", rot, rot) / rot.shape[0])
     amplitude, phase = harmonic_fit(t, rot, record.omega)
-    return ResponseMetrics(rms, amplitude, phase, record.steady, record.cycles)
+    return ResponseMetrics(rms, amplitude, phase, record.steady, record.cycles, record.stable)
 
 
 def wrap_phase(phi: float) -> float:
@@ -517,14 +535,12 @@ def input_power(record: ResponseRecord, forcing: ForcingSpec) -> float:
     the mean of Im(P exp(i w t)) v per flap, P its torque phasor, which is
     (Re P S_v + Im P C_v) / size from the window's sin and cos sums of the
     velocity. A fixed flap counts as a torque of 0."""
-    size, sv, cv = _window_sums(
-        record.measured(record.time), record.measured(record.velocity), forcing.omega
-    )
+    size, sv, cv = _window_sums(record.time, record.velocity, forcing.omega)
     torques = np.array([0.0 if t is None else t for t in forcing.torques])
     return float((torques.real @ sv + torques.imag @ cv) / size)
 
 
 def dissipated_power(record: ResponseRecord, system: SystemMatrices) -> float:
     """Mean power removed by the damping matrix over the record's measure window [W]."""
-    v = record.measured(record.velocity)
+    v = record.velocity
     return float(np.mean(np.sum((v @ system.matrices()[1]) * v, axis=1)))

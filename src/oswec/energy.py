@@ -144,7 +144,7 @@ class CaseResult:
 
 def mean_power(record: ResponseRecord, pto: PTOModel) -> np.ndarray:
     """Mean PTO power per flap [W] over the record's measure window."""
-    v = record.measured(record.velocity)
+    v = record.velocity
     return pto.damping * (np.einsum("ij,ij->j", v, v) / v.shape[0])
 
 
@@ -309,7 +309,8 @@ def load_jpd(path) -> JPD:
 
 @dataclass(frozen=True)
 class PowerMatrix:
-    """Mean mechanical power per (Hs, Te) cell, per flap and total."""
+    """Mean mechanical power per (Hs, Te) cell, per flap and total; ``stable``
+    is False when a computed cell's system is unstable (``ResponseRecord.stable``)."""
 
     hs_bins: np.ndarray
     te_bins: np.ndarray
@@ -319,6 +320,7 @@ class PowerMatrix:
     computed: np.ndarray  # (nH, nT) bool, False for skipped cells
     errors: tuple[str, ...]  # "cell hs=.. te=..: <failure_text>" per failed cell
     config: dict
+    stable: bool = True
 
 
 def failure_text(exc: Exception) -> str:
@@ -442,6 +444,7 @@ def compute_power_matrix(
         computed=computed,
         errors=tuple(failures),
         config=design.describe(),
+        stable=all(o.metrics.stable for o in outcomes if isinstance(o, CaseResult)),
     )
 
 

@@ -1,7 +1,9 @@
+import csv
 import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import warnings
@@ -9,7 +11,11 @@ import warnings
 import pytest
 
 from oswec.cli import main
+from oswec.config import load_run_config
 from oswec.dynamics import wrap_phase
+from oswec.energy import run_torque_case, run_wave_case
+from oswec.errors import format_number
+from oswec.forcing import Scenario, TorqueScenario, WaveCondition
 from oswec.hydro import solve_dispersion, wavelength_deep, Environment
 
 
@@ -87,6 +93,50 @@ class TestSimulate:
         assert code == 0
         header = (out_dir(fast_config) / "simulate_timeseries.csv").read_text().splitlines()[0]
         assert header == "t,theta_l,omega_l"
+
+    @pytest.mark.parametrize(
+        "args, run",
+        [
+            (
+                ["--wave", "--H", "1.75", "--Te", "8.5", "--d", "45"],
+                lambda model: run_wave_case(model, WaveCondition(1.75, 8.5), 45.0, dual=True),
+            ),
+            (
+                ["--scenario", "right-only-left-fixed", "--T0", "1e6", "--Te", "8.5", "--d", "10"],
+                lambda model: run_torque_case(
+                    model, TorqueScenario(Scenario.RIGHT_ONLY_LEFT_FIXED, 1e6, 8.5, 10.0)
+                ),
+            ),
+            (
+                ["--scenario", "single", "--T0", "0.6e6", "--Te", "9.5"],
+                lambda model: run_torque_case(
+                    model, TorqueScenario(Scenario.SINGLE, 0.6e6, 9.5, 0.0)
+                ),
+            ),
+        ],
+        ids=["wave-pair", "right-only-left-fixed", "single"],
+    )
+    def test_timeseries_dump_is_the_whole_run(self, fast_config, args, run):
+        # the record holds only the measure window; the dump rebuilds every
+        # step of every cycle from rest, and ends in that window
+        assert main([str(fast_config), "simulate", *args, "--dump-timeseries"]) == 0
+        out = out_dir(fast_config)
+        with open(out / "simulate_timeseries.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))[1:]
+        cycles = json.loads((out / "simulate_metrics.json").read_text())["cycles_used"]
+        model = load_run_config(fast_config).model
+        steps, measure = model.integration.steps_per_period, model.integration.measure_periods
+        assert cycles > measure
+        assert len(rows) == cycles * steps + 1
+        assert rows[0] == ["0"] * len(rows[0])
+        record = run(model).record
+        assert record.cycles == cycles
+        window = [
+            [format(t, ".9g"), *map(format_number, (*rotation, *velocity))]
+            for t, rotation, velocity in zip(record.time, record.rotation, record.velocity)
+        ]
+        assert len(window) == measure * steps
+        assert rows[-measure * steps :] == window
 
     def test_missing_config_file_exits_1(self, tmp_path, capsys):
         code = main([str(tmp_path / "absent.json"), "simulate", "--scenario", "single",
@@ -427,6 +477,36 @@ class TestAEPCommand:
         assert "dual_d10: " in captured.out
         matrix = json.loads((out_dir(config) / "power_matrix_d10.json").read_text())
         assert matrix["steady"] == [[False, False], [False, False]]
+
+    def test_unstable_design_has_no_energy_figure(self, fast_config, tmp_path, capsys):
+        # at 10 m a kernel gain of 1 makes a mode's one-cycle map grow
+        # (spectral radius >= 1): the design's matrices are still written,
+        # but its AEP row is null in JSON, empty in CSV and "unstable" on
+        # stdout, while the single flap and the 45 m pair keep their figures
+        data = json.loads(fast_config.read_text())
+        data["coefficients"]["analytic"]["alpha"] = 1.0
+        config = tmp_path / "alpha1.json"
+        config.write_text(json.dumps(data))
+        jpd = self._write_jpd(tmp_path)
+        assert main([str(config), "aep", "--jpd", str(jpd), "--distances", "10,45"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1] == "dual_d10: unstable"
+        assert re.fullmatch(r"single_doubled: \d+\.\d{4} GWh", lines[0])
+        assert re.fullmatch(r"dual_d45: \d+\.\d{4} GWh", lines[2])
+        out = out_dir(config)
+        rows = json.loads((out / "aep_table.json").read_text())["rows"]
+        energies = [row["annual_energy_GWh"] for row in rows]
+        assert energies[1] is None and energies[0] > 0.0 and energies[2] > 0.0
+        with open(out / "aep_table.csv", newline="", encoding="utf-8") as fh:
+            table = list(csv.reader(fh))
+        assert table[2] == ["dual_d10", "10", ""]
+        assert [float(row[2]) for row in (table[1], table[3])] == pytest.approx(
+            [energies[0], energies[2]], rel=1e-11
+        )
+        # the matrix itself keeps its figure: the row, not the matrix, is withheld
+        matrix = json.loads((out / "power_matrix_d10.json").read_text())
+        assert math.isfinite(matrix["total_annual_energy_GWh"])
+        assert "stable" not in matrix
 
     def test_failed_cells_are_counted_on_stderr(
         self, fast_config, tmp_path, monkeypatch, capsys

@@ -3,6 +3,7 @@ import itertools
 import math
 import re
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -10,12 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oswec.dynamics as dynamics_mod
 from oswec.dynamics import (
     ForcingSpec,
     IntegrationConfig,
     ResponseRecord,
     SystemMatrices,
     _rk4_mode,
+    _spectral_radius,
     dissipated_power,
     freq_domain_solve,
     harmonic_fit,
@@ -36,6 +39,7 @@ from oswec.forcing import (
     build_wave_forcing,
 )
 from oswec.hydro import FlapProperties, TableCoefficientSource
+from oswec.verify import _SeededStream, _random_case
 
 PROPS = FlapProperties(inertia_dry=1.0e7, stiffness=4.375e6)
 
@@ -185,21 +189,23 @@ class TestIntegrate:
         forcing = ForcingSpec(2.0 * math.pi / 10.5, (cmath.rect(1.0, 0.3), 0.8))
         cfg = IntegrationConfig(steps_per_period=40, measure_periods=3, max_periods=18)
         rotation, velocity, cycles, steady, window = stepped_rk4(_coupled_pair(), forcing, cfg)
-        record = integrate(_coupled_pair(), forcing, cfg)
-        for got, want in ((record.rotation, rotation), (record.velocity, velocity)):
+        record, history, got_window = integrate_with_history(_coupled_pair(), forcing, cfg)
+        for got, want in zip(history[1:], (rotation, velocity)):
             np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * np.max(np.abs(want)))
-        assert (record.cycles, record.steady, record.window) == (cycles, steady, window)
+        assert (record.cycles, record.steady, got_window) == (cycles, steady, window)
         assert (record.cycles, record.steady) == (18, False)
-        assert record.time.size == 18 * cfg.steps_per_period + 1
+        assert history[0].size == 18 * cfg.steps_per_period + 1
 
     def test_record_is_sized_by_the_run_not_max_periods(self):
         # room for 1e12 cycles would not fit in memory; the pair settles at
-        # cycle 21, and the record holds that and the measure window
+        # cycle 21, the run holds that and the measure window, and the
+        # record the measure window alone
         forcing = ForcingSpec(2.0 * math.pi / 10.5, (cmath.rect(1.0, 0.3), 0.8))
         cfg = IntegrationConfig(steps_per_period=40, measure_periods=10, max_periods=10**12)
-        record = integrate(_coupled_pair(), forcing, cfg)
+        record, history, _ = integrate_with_history(_coupled_pair(), forcing, cfg)
         assert (record.cycles, record.steady) == (31, True)
-        assert record.time.size == 31 * cfg.steps_per_period + 1
+        assert history[0].size == 31 * cfg.steps_per_period + 1
+        assert record.time.size == 10 * cfg.steps_per_period
 
     def test_forcing_with_no_free_flap_is_rejected(self):
         for torques in ((None,), (None, None)):
@@ -311,9 +317,11 @@ def stepped_rk4(system, forcing, cfg=IntegrationConfig()):
     """Reference: the same RK4 run one step at a time, as plain Python.
 
     Its length and verdict come from ``settle_cycle`` on the modes'
-    one-cycle map, stepped apart (``modal_cycle_map``). Returns (rotation, velocity, cycles, steady, window) shaped
-    like the fields of ``integrate``'s record, or raises NumericalError
-    naming the first non-finite step as ``integrate`` does.
+    one-cycle map, stepped apart (``modal_cycle_map``). Returns (rotation,
+    velocity, cycles, steady, window): the whole run shaped like
+    ``ResponseRecord.history``, and its measure window as a slice, or
+    raises NumericalError naming the first non-finite step as ``integrate``
+    does.
     """
     n = system.dof
     free = forcing.free_indices()
@@ -344,6 +352,21 @@ def stepped_rk4(system, forcing, cfg=IntegrationConfig()):
         velocity[:, idx] = arr[:, nf + col]
     window = slice(total - cfg.measure_periods * steps, total)
     return rotation, velocity, cycles, steady, window
+
+
+def integrate_with_history(system, forcing, cfg=IntegrationConfig()):
+    """``integrate``'s record, its ``history`` (time, rotation, velocity)
+    and the history's measure window as a slice, after checking that the
+    record is that window of the history, bit for bit."""
+    record = integrate(system, forcing, cfg)
+    history = record.history()
+    total = history[0].size
+    assert total == record.cycles * cfg.steps_per_period + 1
+    assert history[0][0] == 0.0 and not history[1][0].any() and not history[2][0].any()
+    window = slice(total - cfg.measure_periods * cfg.steps_per_period, total)
+    for got, whole in zip((record.time, record.rotation, record.velocity), history):
+        assert np.array_equal(got, whole[window])
+    return record, history, window
 
 
 def _coupled_pair():
@@ -414,7 +437,7 @@ def _step_named(excinfo) -> int:
 
 class TestCycleMapMatchesStepper:
     """``integrate`` advances one forcing period per array product; the
-    literal RK4 stepper above must give the same record up to rounding."""
+    literal RK4 stepper above must give the same run up to rounding."""
 
     @pytest.mark.parametrize(
         "case",
@@ -448,13 +471,13 @@ class TestCycleMapMatchesStepper:
     def test_same_record(self, case):
         system, forcing, cfg = case()
         rotation, velocity, cycles, steady, window = stepped_rk4(system, forcing, cfg)
-        record = integrate(system, forcing, cfg)
-        for got, want in ((record.rotation, rotation), (record.velocity, velocity)):
+        record, history, got_window = integrate_with_history(system, forcing, cfg)
+        for got, want in zip(history[1:], (rotation, velocity)):
             assert got.shape == want.shape
             np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * np.max(np.abs(want)))
         assert record.cycles == cycles
         assert record.steady == steady
-        assert record.window == window
+        assert got_window == window
 
     @pytest.mark.parametrize(
         "case",
@@ -566,7 +589,7 @@ def test_settle_cycle_is_the_first_settled_cycle(case):
 @given(linear_systems())
 @settings(max_examples=100, deadline=None)
 def test_integrate_matches_the_stepper(case):
-    """The record built from powers of the phase-carrying step map is the
+    """The run built from powers of the phase-carrying step map is the
     literal stepper's, or both name the same first non-finite step. Every
     run ends at max_periods, so no verdict on the edge of the settle rule
     can set the two apart."""
@@ -579,9 +602,9 @@ def test_integrate_matches_the_stepper(case):
             integrate(system, forcing, cfg)
         assert _step_named(mapped) == int(re.search(r"step (\d+)", str(stepped)).group(1))
         return
-    record = integrate(system, forcing, cfg)
-    assert (record.cycles, record.window) == (cycles, window)
-    for got, want in ((record.rotation, rotation), (record.velocity, velocity)):
+    record, history, got_window = integrate_with_history(system, forcing, cfg)
+    assert (record.cycles, got_window) == (cycles, window)
+    for got, want in zip(history[1:], (rotation, velocity)):
         assert got.shape == want.shape
         # a subnormal peak holds fewer digits: there, 1e-12 of the least normal float
         scale = max(np.max(np.abs(want)), sys.float_info.min)
@@ -599,9 +622,9 @@ def test_subnormal_torque_matches_the_stepper():
     forcing = ForcingSpec(1.0, (1.1125369292536007e-308, 0j))
     cfg = IntegrationConfig(steps_per_period=37, measure_periods=3, max_periods=4)
     rotation, velocity, cycles, _, window = stepped_rk4(system, forcing, cfg)
-    record = integrate(system, forcing, cfg)
-    assert (record.cycles, record.window) == (cycles, window)
-    for got, want in ((record.rotation, rotation), (record.velocity, velocity)):
+    record, history, got_window = integrate_with_history(system, forcing, cfg)
+    assert (record.cycles, got_window) == (cycles, window)
+    for got, want in zip(history[1:], (rotation, velocity)):
         scale = max(np.max(np.abs(want)), sys.float_info.min)
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * scale)
 
@@ -728,14 +751,142 @@ class TestQuadraticFormFallback:
         forcing = ForcingSpec(self.OMEGA, (0.0, 1.0e6))
         cfg = IntegrationConfig()
         rotation, _, cycles, steady, _ = stepped_rk4(system, forcing, cfg)
-        record = integrate(system, forcing, cfg)
+        record, history, _ = integrate_with_history(system, forcing, cfg)
         assert (record.cycles, record.steady) == (cycles, True)
         left = np.abs(rotation[:, 0]).max()
         assert 0.0 < left < 1e-8 * np.abs(rotation[:, 1]).max()
         # rounding of the modes is the error either way
         np.testing.assert_allclose(
-            record.rotation, rotation, rtol=0.0, atol=1e-12 * np.abs(rotation).max()
+            history[1], rotation, rtol=0.0, atol=1e-12 * np.abs(rotation).max()
         )
+
+
+def first_overflow_step(states, steps):
+    """The step ``integrate`` must name for a run's samples (2, cycles *
+    steps, n), t = 0 left out: the first whose square is not finite, or the
+    last of the first cycle whose sum of squared rotations is not; None
+    when neither exists."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, states.shape[1], steps):
+            block = states[:, start : start + steps]
+            finite = np.isfinite(block**2).all(axis=(0, 2))
+            if not finite.all():
+                return start + int(np.argmin(finite)) + 1
+            if not np.isfinite((block[0] ** 2).sum(axis=0)).all():
+                return start + steps
+    return None
+
+
+def _screen_cases():
+    """Stable keys (a pair, a pair with one flap fixed, a lone flap) at unit
+    torque, and the unstable in-phase pair at 1e-6 of its torque."""
+    omega = 2.0 * math.pi / 10.5
+    system, forcing = unstable_in_phase_case()
+    return {
+        "pair": (_coupled_pair(), ForcingSpec(omega, (cmath.rect(1.0, 0.3), 0.8))),
+        "one-flap-fixed": (_coupled_pair(), ForcingSpec(omega, (None, 1.0))),
+        "lone-flap": (reference_1dof(), ForcingSpec(omega, (1.0,))),
+        "unstable-in-phase": (system, forcing.scaled(1e-6)),
+    }
+
+
+class TestOverflowScreen:
+    """``integrate`` builds only the measure window unless a bound on every
+    sample of the run says a square or a cycle's sum of squares may
+    overflow; the screen must never hide an overflow."""
+
+    @pytest.mark.parametrize("exponent", range(140, 161))
+    @pytest.mark.parametrize("key", list(_screen_cases()))
+    def test_raises_exactly_when_the_run_overflows(self, monkeypatch, key, exponent):
+        system, forcing = _screen_cases()[key]
+        forcing = forcing.scaled(10.0**exponent)
+        cfg = replace(UNSTABLE_CFG, max_periods=40)
+        built = []  # every sample array integrate builds, the whole run when it raises
+
+        def spy(*args):
+            built.append(real(*args))
+            return built[-1]
+
+        real = dynamics_mod._samples
+        monkeypatch.setattr(dynamics_mod, "_samples", spy)
+        try:
+            record = integrate(system, forcing, cfg)
+        except NumericalError as exc:
+            run = built[0]
+            assert run.shape[1] % cfg.steps_per_period == 0
+            named = int(re.search(r"non-finite at step (\d+)", str(exc)).group(1))
+            assert named == first_overflow_step(run, cfg.steps_per_period)
+            return
+        history = record.history()
+        run = np.array(history[1:])[:, 1:]
+        assert first_overflow_step(run, cfg.steps_per_period) is None
+        span = cfg.measure_periods * cfg.steps_per_period
+        for got, whole in zip((record.time, record.rotation, record.velocity), history):
+            assert np.array_equal(got, whole[-span:])
+
+    @pytest.mark.parametrize("key", ["pair", "one-flap-fixed", "lone-flap"])
+    def test_the_range_reaches_every_branch(self, monkeypatch, key):
+        # a stable key passes the screen at 1e158, fails it without an
+        # overflow at 1e159 and overflows at 1e160
+        system, forcing = _screen_cases()[key]
+        cfg = replace(UNSTABLE_CFG, max_periods=40)
+        rows = []  # the start states of each sample array built
+
+        def spy(starts, *rest):
+            rows.append(starts.shape[0])
+            return real(starts, *rest)
+
+        real = dynamics_mod._samples
+        monkeypatch.setattr(dynamics_mod, "_samples", spy)
+        record = integrate(system, forcing.scaled(1e158), cfg)
+        assert rows == [cfg.measure_periods]
+        rows.clear()
+        integrate(system, forcing.scaled(1e159), cfg)
+        assert rows == [record.cycles, cfg.measure_periods]
+        with pytest.raises(NumericalError):
+            integrate(system, forcing.scaled(1e160), cfg)
+
+
+def test_memory_follows_the_window_not_the_run():
+    """The traced peak of one ``integrate`` call is a small multiple of its
+    measure window's samples plus the cycle map, not of the run's length:
+    verify's seed-0 two-flap case 11 runs 137 cycles, its one-flap case 12
+    runs 12."""
+    rng = _SeededStream(0)
+    cases = [_random_case(rng)[:2] for _ in range(13)]
+    cfg = IntegrationConfig()
+    steps, span = cfg.steps_per_period, cfg.measure_periods * cfg.steps_per_period
+    for (system, forcing), cycles in ((cases[11], 137), (cases[12], 12)):
+        tracemalloc.start()
+        try:
+            record = integrate(system, forcing, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (record.cycles, record.steady, record.dof) == (cycles, True, system.dof)
+        window = 8 * span * (1 + 2 * system.dof)  # time, rotations and velocities
+        cycle_map = 8 * steps * (2 * system.dof + 2) ** 2
+        assert peak < 2 * (window + cycle_map)
+
+
+class TestStability:
+    """``ResponseRecord.stable`` is the modes' spectral radius below 1."""
+
+    @given(st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4))
+    @settings(max_examples=300, deadline=None)
+    def test_spectral_radius_is_numpys(self, entries):
+        radius = _spectral_radius(*entries)
+        want = np.abs(np.linalg.eigvals(np.reshape(entries, (2, 2)))).max()
+        assert radius == pytest.approx(want, rel=1e-6, abs=1e-7)
+
+    def test_unstable_pair_is_flagged(self):
+        system, forcing = unstable_in_phase_case()
+        cfg = replace(UNSTABLE_CFG, max_periods=85)
+        record = integrate(system, forcing, cfg)
+        assert not record.stable and not response_metrics(record).stable
+        for system, forcing, cfg in (_reference_flap_case(), _wave_case(9.5), _coarse_step_case()):
+            record = integrate(system, forcing, cfg)
+            assert record.stable and response_metrics(record).stable
 
 
 class TestAliasedSampling:
@@ -888,9 +1039,9 @@ class TestResponseMetrics:
         t = np.arange(periods * steps + 1) * (2 * math.pi / omega / steps)
         theta = series_fn(t)
         vel = np.gradient(theta, t)
+        window = slice(t.size - 10 * steps, t.size)
         return ResponseRecord(
-            t, theta[:, None], vel[:, None], omega, steady=True, cycles=periods,
-            window=slice(t.size - 10 * steps, t.size),
+            t[window], theta[window, None], vel[window, None], omega, steady=True, cycles=periods
         )
 
     def test_rms_of_pure_harmonic(self):
@@ -1118,12 +1269,10 @@ class TestWholePeriodFit:
         velocity = np.column_stack([
             0.3 * np.sin(omega * t + 0.4), 0.1 * np.cos(omega * t - 1.0)
         ]) + 1e-3 * rng.standard_normal((t.size, 2))
-        record = ResponseRecord(
-            t, np.zeros_like(velocity), velocity, omega, steady=True, cycles=12,
-            window=slice(t.size - 8 * steps, t.size),
-        )
+        window = slice(t.size - 8 * steps, t.size)
+        tw, vw = t[window], velocity[window]
+        record = ResponseRecord(tw, np.zeros_like(vw), vw, omega, steady=True, cycles=12)
         forcing = ForcingSpec(omega, (cmath.rect(1.0e6, 0.2), cmath.rect(0.7e6, -1.1)))
-        tw, vw = t[record.window], velocity[record.window]
         tau = (np.array(forcing.torques) * np.exp(1j * omega * tw[:, None])).imag
         assert input_power(record, forcing) == pytest.approx(
             np.mean(np.sum(tau * vw, axis=1)), rel=1e-12

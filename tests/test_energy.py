@@ -52,8 +52,9 @@ def synthetic_record(omega, velocity_amp, periods=20, steps=200):
     t = np.arange(periods * steps + 1) * (2 * math.pi / omega / steps)
     vel = velocity_amp * np.sin(omega * t)
     theta = -(velocity_amp / omega) * np.cos(omega * t)
-    return ResponseRecord(t, theta[:, None], vel[:, None], omega, steady=True, cycles=periods,
-                          window=slice(t.size - 10 * steps, t.size))
+    window = slice(t.size - 10 * steps, t.size)
+    return ResponseRecord(t[window], theta[window, None], vel[window, None], omega, steady=True,
+                          cycles=periods)
 
 
 class TestMeanPower:
@@ -367,6 +368,21 @@ class TestPowerMatrix:
         single = compute_power_matrix(Design(model, 0.0, dual=False), hs, te)
         np.testing.assert_allclose(dual.power_total, 2.0 * single.power_total, rtol=1e-3)
 
+    def test_unstable_design_is_flagged_in_memory_only(self, fast_reference):
+        # a kernel gain of 1 makes the in-phase modal damping negative at
+        # 10 m: every cell's response grows, finite within max_periods, and
+        # the matrix says so in memory while its payload keeps its keys
+        coefficients = replace(fast_reference.coefficients, alpha=1.0)
+        model = replace(fast_reference, coefficients=coefficients)
+        hs, te = np.array([1.75, 3.25]), np.array([8.5, 9.5])
+        unstable = compute_power_matrix(Design(model, 10.0), hs, te)
+        assert not unstable.stable and not unstable.steady.any() and not unstable.errors
+        assert np.isfinite(unstable.power_total).all()
+        assert compute_power_matrix(Design(model, 45.0), hs, te).stable
+        assert compute_power_matrix(Design(model, 0.0, dual=False), hs, te).stable
+        jpd = JPD(hs, te, np.full((2, 2), 0.25))
+        assert "stable" not in power_matrix_payload(unstable, jpd)
+
     def test_resonance_bin_is_row_maximum(self, fast_reference):
         te = np.array([7.5, 8.5, 9.5, 10.5, 11.5])
         pm = compute_power_matrix(Design(fast_reference, 0.0, dual=False), np.array([1.75]), te)
@@ -645,13 +661,12 @@ class TestNonFiniteBackstop:
             # each square (1e306) and each cycle's sum of squares is finite,
             # but the measure window's sum exceeds the float range
             total = integration.max_periods * integration.steps_per_period + 1
-            t = np.arange(total) * (forcing.period / integration.steps_per_period)
-            series = {"rotation": np.zeros((total, 2)), "velocity": np.zeros((total, 2))}
-            series[column][:] = 1.0e153
             span = integration.measure_periods * integration.steps_per_period
+            t = np.arange(total - span, total) * (forcing.period / integration.steps_per_period)
+            series = {"rotation": np.zeros((span, 2)), "velocity": np.zeros((span, 2))}
+            series[column][:] = 1.0e153
             return ResponseRecord(t, series["rotation"], series["velocity"], forcing.omega,
-                                  steady=True, cycles=integration.max_periods,
-                                  window=slice(total - span, total))
+                                  steady=True, cycles=integration.max_periods)
 
         assert cfg.steps_per_period * 1.0e306 < np.finfo(float).max
         assert cfg.measure_periods * cfg.steps_per_period * 1.0e306 > np.finfo(float).max
