@@ -161,6 +161,11 @@ def _cmd_simulate(args, run_config: RunConfig, out_dir: str) -> int:
             "distance_m": args.d,
         }
 
+    if not result.metrics.stable:
+        raise NumericalError(
+            "the system is unstable (a mode's one-period map has spectral radius >= 1, "
+            "e.g. negative effective damping), so it has no steady response"
+        )
     names = _flap_names(result.record.dof, args.wave)
     payload = {
         "case": case_desc,
@@ -329,6 +334,8 @@ def _cmd_verify(args, run_config: RunConfig) -> int:
         integration=run_config.model.integration,
     )
     print(format_report(outcome))
+    failed = sum(1 for _, failures in outcome.cases if failures)
+    _note_unsettled("verify", outcome.steady.count(False), len(outcome.cases), "cases", failed)
     if not outcome.passed:
         print("oswec: verification failed", file=sys.stderr)
         return EXIT_VERIFY

@@ -38,7 +38,8 @@ REFERENCE_PTO_DAMPING = 0.5 * REFERENCE_DAMPING
 
 @dataclass(frozen=True)
 class RunConfig:
-    """A model plus run bookkeeping (output directory, reserved seed)."""
+    """A model plus run bookkeeping: the output directory, and the seed of
+    ``verify``'s randomized cases."""
 
     model: Model
     output_dir: str = "out"

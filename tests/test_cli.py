@@ -177,6 +177,22 @@ class TestSimulate:
         assert code == 2
         assert "non-finite" in capsys.readouterr().err
 
+    def test_unstable_key_has_no_figures(self, configs_dir, tmp_path, capsys):
+        # a kernel gain of 1 makes the 10 m pair unstable; its record is
+        # finite within max_periods but grows without bound
+        data = json.loads((configs_dir / "reference.json").read_text())
+        data["coefficients"]["analytic"]["alpha"] = 1.0
+        config = tmp_path / "alpha1.json"
+        config.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        code = main([str(config), "--out", str(out), "simulate", "--wave", "--H", "1.75",
+                     "--Te", "9.5", "--d", "10", "--dump-timeseries"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("oswec: numerical error: the system is unstable")
+        assert not out.exists()
+
     def test_overflowing_torque_is_a_configuration_error(self, configs_dir, tmp_path, capsys):
         # H = 1e308 gives an infinite front torque: bad input, not an unstable system
         out = tmp_path / "bad"
@@ -562,16 +578,25 @@ class TestVerifyCommand:
         assert "PASS oracle-amplitude" in out
         assert "PASS energy-balance" in out
 
-    @pytest.mark.parametrize("seed", [9, 13, 21])
+    @pytest.mark.parametrize("seed", [43, 18, 9])
     def test_lightly_damped_seeds_pass(self, configs_dir, tmp_path, capsys, seed):
-        # at each seed one lightly damped case once read as steady with part
-        # of its transient in the measure window, and failed its energy balance
+        # of config seeds 0-50 these have the largest energy-balance gaps
+        # (0.85%, 0.21% and 0.16%, against a 1% bound); each comes from a
+        # lightly damped two-flap case that runs max_periods without
+        # settling, so part of its transient is in the measure window, and
+        # stderr names it
         data = json.loads((configs_dir / "reference.json").read_text())
         data["seed"] = seed
         path = tmp_path / "seeded.json"
         path.write_text(json.dumps(data))
         assert main([str(path), "--workers", "1", "verify", "--cases", "80"]) == 0
-        assert "FAIL" not in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert "FAIL" not in captured.out
+        assert captured.err == "oswec: verify: 1 of 80 cases not steady, 0 failed\n"
+
+    def test_settled_cases_print_nothing_on_stderr(self, configs_dir, capsys):
+        assert main([str(configs_dir / "reference.json"), "verify", "--cases", "20"]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_bad_case_count_exits_1(self, fast_config):
         assert main([str(fast_config), "verify", "--cases", "0"]) == 1
@@ -777,7 +802,7 @@ class TestCommandImports:
         modules = set(loaded["modules"])
         assert "oswec.cli" in modules
         assert "numpy.ma" not in modules
-        # verify draws its seeded stream without numpy.random, and so
-        # without the OpenSSL it loads through secrets
+        # verify draws its cases from the random module, which numpy already
+        # loads: no numpy.random, and so no OpenSSL through secrets
         assert "numpy.random" not in modules
         assert "_hashlib" not in modules

@@ -1,6 +1,7 @@
 import cmath
 import itertools
 import math
+import random
 import re
 import sys
 import tracemalloc
@@ -39,7 +40,7 @@ from oswec.forcing import (
     build_wave_forcing,
 )
 from oswec.hydro import FlapProperties, TableCoefficientSource
-from oswec.verify import _SeededStream, _random_case
+from oswec.verify import _random_case
 
 PROPS = FlapProperties(inertia_dry=1.0e7, stiffness=4.375e6)
 
@@ -850,13 +851,13 @@ class TestOverflowScreen:
 def test_memory_follows_the_window_not_the_run():
     """The traced peak of one ``integrate`` call is a small multiple of its
     measure window's samples plus the cycle map, not of the run's length:
-    verify's seed-0 two-flap case 11 runs 137 cycles, its one-flap case 12
-    runs 12."""
-    rng = _SeededStream(0)
-    cases = [_random_case(rng)[:2] for _ in range(13)]
+    verify's seed-0 two-flap case 18 runs 185 cycles, its one-flap case 19
+    runs 14."""
+    rng = random.Random(0)
+    cases = [_random_case(rng)[:2] for _ in range(20)]
     cfg = IntegrationConfig()
     steps, span = cfg.steps_per_period, cfg.measure_periods * cfg.steps_per_period
-    for (system, forcing), cycles in ((cases[11], 137), (cases[12], 12)):
+    for (system, forcing), cycles in ((cases[18], 185), (cases[19], 14)):
         tracemalloc.start()
         try:
             record = integrate(system, forcing, cfg)
